@@ -476,7 +476,7 @@ func BenchmarkExecQ4Specific(b *testing.B) {
 	}
 }
 
-// --- Streaming vs materializing, serial vs parallel --------------------------
+// --- Materializing vs columnar ---------------------------------------------
 
 // benchExecQ4Engine times plan execution only (compile+optimize hoisted)
 // for one BSBM Q4 binding under the given engine options.
@@ -506,35 +506,11 @@ func benchExecQ4Engine(b *testing.B, opts exec.Options) {
 	b.ReportMetric(float64(rows), "rows")
 }
 
-// BenchmarkExecMaterializing is the old engine: every intermediate result
-// fully materialized.
+// BenchmarkExecMaterializing is the reference engine: every intermediate
+// result fully materialized. BenchmarkExecTraceOff times the default
+// columnar engine on the same binding.
 func BenchmarkExecMaterializing(b *testing.B) {
 	benchExecQ4Engine(b, exec.Options{Mode: exec.Materializing})
-}
-
-// BenchmarkExecStreaming is the batch-pull operator engine over the same
-// physical decisions — identical output, pipelined execution.
-func BenchmarkExecStreaming(b *testing.B) {
-	benchExecQ4Engine(b, exec.Options{Mode: exec.Streaming})
-}
-
-// BenchmarkExecStreamingPushFilters times the streaming engine with
-// single-variable filters evaluated below the joins (SNB Q3 carries a
-// FILTER, so the pruning is real).
-func BenchmarkExecStreamingPushFilters(b *testing.B) {
-	e := env(b)
-	dom, err := core.ExtractDomain(snb.Q3(), e.SNB)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bindings := core.NewUniformSampler(dom, 2).Sample(20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := &workload.Runner{Store: e.SNB, Opts: exec.Options{Mode: exec.Streaming, PushFilters: true}}
-		if _, err := r.Run(snb.Q3(), bindings); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // benchAnalyzeQ4 times the per-binding curation analysis at the given
@@ -874,49 +850,6 @@ func benchParallelSetup(b *testing.B) (*store.Store, sparql.Binding) {
 	return parStore, parBinding
 }
 
-// benchExecParallel times plan execution only (compile+optimize hoisted)
-// of the broad Q3 drill-down at the given intra-query parallelism. Rows
-// and the Work/Cout/Scanned accounting are bit-identical across the
-// BenchmarkExecParallel1/2/8 family — only wall-clock changes.
-func benchExecParallel(b *testing.B, par int) {
-	st, binding := benchParallelSetup(b)
-	bound, err := bsbm.Q3().Bind(binding)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := plan.Compile(bound, st)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := plan.Optimize(c, plan.NewEstimator(st))
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := exec.Options{Parallelism: par}
-	b.ResetTimer()
-	var res *exec.Result
-	for i := 0; i < b.N; i++ {
-		res, err = exec.Run(c, p, st, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(res.Rows)), "rows")
-	b.ReportMetric(res.Work, "work")
-	b.ReportMetric(float64(res.Morsels), "morsels")
-	b.ReportMetric(float64(res.Workers), "workers")
-}
-
-// BenchmarkExecParallel1 is the serial baseline of the parallelism family.
-func BenchmarkExecParallel1(b *testing.B) { benchExecParallel(b, 1) }
-
-// BenchmarkExecParallel2 runs the same pipeline on up to 2 workers.
-func BenchmarkExecParallel2(b *testing.B) { benchExecParallel(b, 2) }
-
-// BenchmarkExecParallel8 runs the same pipeline on up to 8 workers; the
-// acceptance target is >= 2x over BenchmarkExecParallel1.
-func BenchmarkExecParallel8(b *testing.B) { benchExecParallel(b, 8) }
-
 // benchShardedScatterGather times the same hoisted Q3 drill-down through
 // a subject-hash sharded federation: per-shard cursors k-way merge back
 // into the exact global index stream, so rows and accounting are
@@ -950,7 +883,7 @@ func benchShardedScatterGather(b *testing.B, shards int) {
 }
 
 // BenchmarkShardedScatterGather1 is the degenerate single-shard
-// federation: its delta over BenchmarkExecParallel1 is the pure cost of
+// federation: its delta over BenchmarkExecColumnar1 is the pure cost of
 // the coordinator seam.
 func BenchmarkShardedScatterGather1(b *testing.B) { benchShardedScatterGather(b, 1) }
 

@@ -28,15 +28,15 @@ func main() {
 	var (
 		dataset = flag.String("dataset", "bsbm", "dataset: bsbm | snb")
 		scale   = flag.String("scale", "test", "scale preset: test | default")
-		query   = flag.String("query", "q4", "query template: bsbm q1|q2|q3|q4|q5|q6, snb q1|q2|q3|q4 (q5/q6 and snb q4 use the compositional algebra and need a non-materializing engine)")
+		query   = flag.String("query", "q4", "query template: bsbm q1|q2|q3|q4|q5|q6, snb q1|q2|q3|q4 (q5/q6 and snb q4 use the compositional algebra: OPTIONAL, UNION, aggregates)")
 		mode    = flag.String("mode", "uniform", "sampling mode: uniform | curated")
 		groups  = flag.Int("groups", 4, "independent binding groups (uniform mode)")
 		n       = flag.Int("n", 100, "bindings per group / per class")
 		seed    = flag.Int64("seed", 1, "seed")
 		greedy  = flag.Bool("greedy", false, "use the greedy optimizer instead of DP")
 		merge   = flag.Bool("mergejoin", false, "use sort-merge joins for interior joins")
-		mat     = flag.Bool("materialize", false, "use the materializing engine instead of the streaming one")
-		push    = flag.Bool("pushfilters", false, "push single-variable filters below the joins (streaming engine)")
+		mat     = flag.Bool("materialize", false, "use the materializing reference engine instead of the columnar one")
+		push    = flag.Bool("pushfilters", false, "push single-variable filters below the joins (columnar engine)")
 		par     = flag.Int("parallelism", 1, "intra-query workers for morsel-driven parallel pipelines (1 = serial; measured work/Cout stay bit-identical at any setting)")
 		snap    = flag.String("snapshot", "", "load the store from this snapshot or N-Triples file instead of generating")
 	)

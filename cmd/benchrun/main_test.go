@@ -63,7 +63,7 @@ func TestEngineFlags(t *testing.T) {
 	if !strings.Contains(buf.String(), "Group 1") {
 		t.Fatalf("output wrong:\n%s", buf.String())
 	}
-	// Streaming with filter pushdown (snb q3 has a FILTER).
+	// Columnar with filter pushdown (snb q3 has a FILTER).
 	buf.Reset()
 	if err := run(&buf, "snb", "test", "q3", "uniform", "", 2, 5, 1, 1, false, false, false, true); err != nil {
 		t.Fatal(err)

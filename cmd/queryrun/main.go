@@ -23,6 +23,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/rdf"
+	"repro/internal/service"
 	"repro/internal/sparql"
 	"repro/internal/store"
 )
@@ -49,7 +50,6 @@ type config struct {
 	analyze     bool
 	greedy      bool
 	sampling    bool
-	materialize bool
 	engine      string
 	leapfrog    bool
 	mergeJoin   bool
@@ -72,11 +72,10 @@ func main() {
 	flag.BoolVar(&cfg.analyze, "analyze", false, "EXPLAIN ANALYZE: trace the execution and print the plan annotated with observed rows, wall time and Cout/Work/Scanned per operator")
 	flag.BoolVar(&cfg.greedy, "greedy", false, "use the greedy optimizer")
 	flag.BoolVar(&cfg.sampling, "sampling", false, "use the sampling cardinality estimator")
-	flag.BoolVar(&cfg.materialize, "materialize", false, "use the materializing engine instead of the streaming one")
-	flag.StringVar(&cfg.engine, "engine", "", "execution engine: streaming (default), materializing or columnar")
-	flag.BoolVar(&cfg.leapfrog, "leapfrog", false, "lower eligible star BGPs to the worst-case-optimal leapfrog triejoin (requires -engine columnar)")
+	flag.StringVar(&cfg.engine, "engine", "columnar", "execution engine: columnar (the pipelined default; streaming is an alias) or materializing (the reference engine)")
+	flag.BoolVar(&cfg.leapfrog, "leapfrog", false, "lower eligible star BGPs to the worst-case-optimal leapfrog triejoin (columnar engine only)")
 	flag.BoolVar(&cfg.mergeJoin, "mergejoin", false, "use sort-merge joins for interior joins")
-	flag.BoolVar(&cfg.pushFilters, "pushfilters", false, "push single-variable filters below the joins (streaming engine)")
+	flag.BoolVar(&cfg.pushFilters, "pushfilters", false, "push single-variable filters below the joins (columnar engine)")
 	flag.IntVar(&cfg.parallelism, "parallelism", 1, "intra-query workers for morsel-driven parallel pipelines (1 = serial; results are bit-identical at any setting)")
 	flag.IntVar(&cfg.maxRows, "maxrows", 50, "result rows to print (0 = all)")
 	flag.Var(&binds, "bind", "parameter binding name=term (repeatable)")
@@ -149,25 +148,11 @@ func run(w io.Writer, cfg config) error {
 	if err != nil {
 		return err
 	}
-	opts := exec.Options{PushFilters: cfg.pushFilters, Parallelism: cfg.parallelism}
-	if cfg.materialize {
-		opts.Mode = exec.Materializing
+	mode, err := service.ParseEngine(cfg.engine, cfg.leapfrog)
+	if err != nil {
+		return err
 	}
-	switch cfg.engine {
-	case "":
-	case "streaming":
-		opts.Mode = exec.Streaming
-	case "materializing":
-		opts.Mode = exec.Materializing
-	case "columnar":
-		opts.Mode = exec.Columnar
-	default:
-		return fmt.Errorf("unknown -engine %q (want streaming, materializing or columnar)", cfg.engine)
-	}
-	if cfg.leapfrog && opts.Mode != exec.Columnar {
-		return fmt.Errorf("-leapfrog requires -engine columnar")
-	}
-	opts.Leapfrog = cfg.leapfrog
+	opts := exec.Options{Mode: mode, Leapfrog: cfg.leapfrog, PushFilters: cfg.pushFilters, Parallelism: cfg.parallelism}
 	if cfg.mergeJoin {
 		opts.Join = exec.SortMergeJoin
 	}

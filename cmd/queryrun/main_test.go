@@ -120,6 +120,13 @@ func TestErrors(t *testing.T) {
 	if err := run(&buf, config{dataPath: data, queryStr: "not a query"}); err == nil {
 		t.Error("bad query should fail")
 	}
+	q := `SELECT * WHERE { ?s ?p ?o . }`
+	if err := run(&buf, config{dataPath: data, queryStr: q, engine: "vectorized"}); err == nil {
+		t.Error("unknown engine should fail")
+	}
+	if err := run(&buf, config{dataPath: data, queryStr: q, engine: "materializing", leapfrog: true}); err == nil {
+		t.Error("-leapfrog under the materializing engine should fail")
+	}
 	if err := run(&buf, config{dataPath: data, queryStr: `SELECT * WHERE { ?s ?p %x . }`}); err == nil {
 		t.Error("unbound param should fail")
 	}
@@ -137,26 +144,35 @@ func TestErrors(t *testing.T) {
 func TestEngineModesAgree(t *testing.T) {
 	data := writeTestData(t)
 	src := `SELECT ?x WHERE { <http://x/a> <http://x/knows> ?x . ?x <http://x/knows> ?c . }`
-	var streaming, materializing, pushed bytes.Buffer
-	if err := run(&streaming, config{dataPath: data, queryStr: src}); err != nil {
+	var columnar, materializing, pushed bytes.Buffer
+	if err := run(&columnar, config{dataPath: data, queryStr: src}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&materializing, config{dataPath: data, queryStr: src, materialize: true}); err != nil {
+	if err := run(&materializing, config{dataPath: data, queryStr: src, engine: "materializing"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(&pushed, config{dataPath: data, queryStr: src, pushFilters: true}); err != nil {
 		t.Fatal(err)
 	}
 	rows := func(out string) string {
-		// Strip the timing line (wall clock differs per run).
-		i := strings.Index(out, "\n")
-		return out[i:]
+		// Keep the accounting of the first line but strip its wall clock
+		// (it differs per run), and drop the columnar kernel telemetry
+		// line, which describes the engine's schedule, not its result.
+		lines := strings.Split(out, "\n")
+		lines[0] = lines[0][strings.Index(lines[0], "("):]
+		kept := lines[:1]
+		for _, l := range lines[1:] {
+			if !strings.HasPrefix(l, "columnar:") {
+				kept = append(kept, l)
+			}
+		}
+		return strings.Join(kept, "\n")
 	}
-	if rows(streaming.String()) != rows(materializing.String()) {
-		t.Fatalf("engines disagree:\n%s\nvs\n%s", streaming.String(), materializing.String())
+	if rows(columnar.String()) != rows(materializing.String()) {
+		t.Fatalf("engines disagree:\n%s\nvs\n%s", columnar.String(), materializing.String())
 	}
-	if rows(streaming.String()) != rows(pushed.String()) {
-		t.Fatalf("pushdown changed results:\n%s\nvs\n%s", streaming.String(), pushed.String())
+	if rows(columnar.String()) != rows(pushed.String()) {
+		t.Fatalf("pushdown changed results:\n%s\nvs\n%s", columnar.String(), pushed.String())
 	}
 }
 

@@ -1,11 +1,10 @@
 // Compositional-algebra walkthrough: OPTIONAL, UNION and aggregation over
-// a small social graph, engine bit-identity between the streaming and
-// columnar executors, the materializing baseline's typed rejection, and a
-// pattern-driven DELETE/INSERT WHERE update — the algebra layer end to end.
+// a small social graph, engine bit-identity between the materializing
+// reference and the pipelined columnar executor, and a pattern-driven
+// DELETE/INSERT WHERE update — the algebra layer end to end.
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
 
@@ -95,27 +94,17 @@ func main() {
 	printRows(st, run(agg, st, exec.Options{}))
 
 	// --- Engine bit-identity ------------------------------------------
-	// The streaming and columnar engines produce the same rows, order and
-	// Cout/Work/Scanned accounting at any parallelism.
-	a := run(optional, st, exec.Options{})
-	bres := run(optional, st, exec.Options{Mode: exec.Columnar, Parallelism: 4})
-	fmt.Printf("\nstreaming serial vs columnar parallel: rows %d/%d, Cout %.0f/%.0f, Work %.0f/%.0f\n",
-		len(a.Rows), len(bres.Rows), a.Cout, bres.Cout, a.Work, bres.Work)
-
-	// The materializing engine is a frozen pre-algebra baseline: it
-	// rejects composed queries with a typed error instead of guessing.
-	q := sparql.MustParse(optional)
-	c, err := plan.Compile(q, st)
-	if err != nil {
-		log.Fatal(err)
+	// The materializing reference evaluates the algebra tree with every
+	// intermediate result in memory; the columnar engine pipelines the
+	// lowered physical plan across workers. Both produce the same rows,
+	// order and Cout/Work/Scanned accounting.
+	fmt.Println("\nmaterializing vs columnar parallel:")
+	for _, c := range []struct{ name, text string }{{"OPTIONAL", optional}, {"UNION", union}, {"GROUP BY", agg}} {
+		m := run(c.text, st, exec.Options{Mode: exec.Materializing})
+		col := run(c.text, st, exec.Options{Parallelism: 4})
+		fmt.Printf("  %-8s rows %d/%d, Cout %.0f/%.0f, Work %.0f/%.0f\n",
+			c.name, len(m.Rows), len(col.Rows), m.Cout, col.Cout, m.Work, col.Work)
 	}
-	p, err := plan.Optimize(c, plan.NewEstimator(st))
-	if err != nil {
-		log.Fatal(err)
-	}
-	_, err = exec.Run(c, p, st, exec.Options{Mode: exec.Materializing})
-	fmt.Printf("materializing engine: unsupported=%v (%v)\n",
-		errors.Is(err, exec.ErrUnsupportedConstruct), err)
 
 	// --- Pattern-driven update: DELETE/INSERT WHERE -------------------
 	// Retire the "knows" edges of minors and mark them instead; the WHERE

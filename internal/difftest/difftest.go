@@ -4,13 +4,12 @@
 // plus pattern-driven DELETE/INSERT WHERE ops) and random BGP queries
 // (bounded patterns, filters, DISTINCT/ORDER BY/LIMIT/OFFSET
 // modifiers), and every query is executed through the full engine matrix —
-// Materializing, Streaming, and Streaming at Parallelism 2 and 8 — over
-// both the pristine store and the delta-overlaid store, with the overlay
-// additionally cross-checked against a store rebuilt from scratch over the
-// equivalent triple set. Algebra queries (OPTIONAL/UNION/aggregates) run
-// through the streaming and columnar cells only; the materializing
-// engine is the frozen paper baseline and must reject them with
-// exec.ErrUnsupportedConstruct, which the harness asserts. All executions of one (store, query) pair must be
+// the materializing reference, and the columnar engine serially and at
+// Parallelism 2 and 8 — over both the pristine store and the
+// delta-overlaid store, with the overlay additionally cross-checked
+// against a store rebuilt from scratch over the equivalent triple set.
+// Algebra queries (OPTIONAL/UNION/aggregates) run through the same
+// engines. All executions of one (store, query) pair must be
 // byte-identical in rows AND accounting (Cout/Work/Scanned); the overlay
 // and the rebuilt store must also agree byte-for-byte with each other,
 // because the rebuilt reference shares the overlay's dictionary IDs and the
@@ -24,7 +23,6 @@
 package difftest
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -310,21 +308,18 @@ type EngineRun struct {
 }
 
 // EngineMatrix is the cross-checked engine configurations: the
-// materializing reference, the serial streaming engine, streaming at
+// materializing reference, the serial columnar engine, and columnar at
 // Parallelism 2 and 8 with a tiny morsel size so test-scale stores
-// genuinely split (including single-triple morsels), and the columnar
-// engine serial and parallel. Setting ENGINE_MODE to one of the engine
-// names promotes it to the front of the matrix, making it the reference
-// the others are diffed against — CI rotates it across the serial modes.
+// genuinely split (including single-triple morsels). Setting ENGINE_MODE
+// to one of the engine names promotes it to the front of the matrix,
+// making it the reference the others are diffed against — CI rotates it
+// across the serial modes.
 func EngineMatrix() []EngineRun {
 	m := []EngineRun{
 		{Name: "materializing", Opts: exec.Options{Mode: exec.Materializing}},
-		{Name: "streaming", Opts: exec.Options{}},
-		{Name: "streaming-p2-m1", Opts: exec.Options{Parallelism: 2, MorselSize: 1}},
-		{Name: "streaming-p8-m16", Opts: exec.Options{Parallelism: 8, MorselSize: 16}},
-		{Name: "columnar", Opts: exec.Options{Mode: exec.Columnar}},
-		{Name: "columnar-p2-m1", Opts: exec.Options{Mode: exec.Columnar, Parallelism: 2, MorselSize: 1}},
-		{Name: "columnar-p8-m16", Opts: exec.Options{Mode: exec.Columnar, Parallelism: 8, MorselSize: 16}},
+		{Name: "columnar", Opts: exec.Options{}},
+		{Name: "columnar-p2-m1", Opts: exec.Options{Parallelism: 2, MorselSize: 1}},
+		{Name: "columnar-p8-m16", Opts: exec.Options{Parallelism: 8, MorselSize: 16}},
 	}
 	if mode := os.Getenv("ENGINE_MODE"); mode != "" {
 		for i := range m {
@@ -449,32 +444,18 @@ func RunStarQuery(q *sparql.Query, st store.Source, label string) (string, error
 	if err != nil {
 		return "", err
 	}
-	var refRows string
-	var lfRef, lfRefName string
-	for _, er := range LeapfrogMatrix() {
-		res, _, err := exec.Query(q, st, er.Opts)
-		if err != nil {
-			return "", fmt.Errorf("%s/%s: %w", label, er.Name, err)
-		}
-		got := Canonical(st.Dict(), res)
-		if lfRef == "" {
-			lfRef, lfRefName = got, er.Name
-			refRows = CanonicalRows(st.Dict(), res)
-			continue
-		}
-		if got != lfRef {
-			return "", fmt.Errorf("%s: engine %s diverges from %s\n--- %s\n%s\n--- %s\n%s",
-				label, er.Name, lfRefName, lfRefName, lfRef, er.Name, got)
-		}
-	}
-	// Multiset check against the strict matrix's serial streaming cell.
-	sres, _, err := exec.Query(q, st, exec.Options{})
+	_, lf, err := runMatrix(q, st, label, LeapfrogMatrix())
 	if err != nil {
-		return "", fmt.Errorf("%s/streaming: %w", label, err)
+		return "", err
 	}
-	if want := CanonicalRows(st.Dict(), sres); refRows != want {
-		return "", fmt.Errorf("%s: leapfrog row multiset diverges from streaming\n--- streaming\n%s\n--- leapfrog\n%s",
-			label, want, refRows)
+	// Multiset check against the strict matrix's materializing reference.
+	mres, _, err := exec.Query(q, st, exec.Options{Mode: exec.Materializing})
+	if err != nil {
+		return "", fmt.Errorf("%s/materializing: %w", label, err)
+	}
+	if want, got := CanonicalRows(st.Dict(), mres), CanonicalRows(st.Dict(), lf); got != want {
+		return "", fmt.Errorf("%s: leapfrog row multiset diverges from materializing\n--- materializing\n%s\n--- leapfrog\n%s",
+			label, want, got)
 	}
 	return ref, nil
 }
@@ -483,39 +464,44 @@ func RunStarQuery(q *sparql.Query, st store.Source, label string) (string, error
 // all results agree; it returns the canonical result, or an error naming
 // the first diverging engine pair.
 func RunQuery(q *sparql.Query, st store.Source, label string) (string, error) {
-	var ref string
-	var refName string
-	for _, er := range EngineMatrix() {
+	ref, _, err := runMatrix(q, st, label, EngineMatrix())
+	return ref, err
+}
+
+// runMatrix executes q over st with every configuration of m and checks
+// all cells agree byte-identically in rows AND accounting. It returns the
+// canonical result and the first cell's Result.
+func runMatrix(q *sparql.Query, st store.Source, label string, m []EngineRun) (string, *exec.Result, error) {
+	var ref, refName string
+	var first *exec.Result
+	for _, er := range m {
 		res, _, err := exec.Query(q, st, er.Opts)
 		if err != nil {
-			return "", fmt.Errorf("%s/%s: %w", label, er.Name, err)
+			return "", nil, fmt.Errorf("%s/%s: %w", label, er.Name, err)
 		}
 		got := Canonical(st.Dict(), res)
-		if ref == "" {
-			ref, refName = got, er.Name
+		if first == nil {
+			ref, refName, first = got, er.Name, res
 			continue
 		}
 		if got != ref {
-			return "", fmt.Errorf("%s: engine %s diverges from %s\n--- %s\n%s\n--- %s\n%s",
+			return "", nil, fmt.Errorf("%s: engine %s diverges from %s\n--- %s\n%s\n--- %s\n%s",
 				label, er.Name, refName, refName, ref, er.Name, got)
 		}
 	}
-	return ref, nil
+	return ref, first, nil
 }
 
 // AlgebraEngineMatrix is the engine matrix for algebra queries
-// (OPTIONAL/UNION/aggregates): the streaming and columnar engines, serial
-// and at Parallelism 2 and 8. The materializing engine is excluded — it
-// is the frozen paper baseline and rejects these constructs with
-// exec.ErrUnsupportedConstruct, which RunAlgebraQuery asserts separately.
+// (OPTIONAL/UNION/aggregates): the materializing reference, which
+// evaluates the algebra tree independently of the physical lowering, then
+// the columnar engine serially and at Parallelism 2 and 8.
 func AlgebraEngineMatrix() []EngineRun {
 	return []EngineRun{
-		{Name: "streaming", Opts: exec.Options{}},
-		{Name: "streaming-p2-m1", Opts: exec.Options{Parallelism: 2, MorselSize: 1}},
-		{Name: "streaming-p8-m16", Opts: exec.Options{Parallelism: 8, MorselSize: 16}},
-		{Name: "columnar", Opts: exec.Options{Mode: exec.Columnar}},
-		{Name: "columnar-p2-m1", Opts: exec.Options{Mode: exec.Columnar, Parallelism: 2, MorselSize: 1}},
-		{Name: "columnar-p8-m16", Opts: exec.Options{Mode: exec.Columnar, Parallelism: 8, MorselSize: 16}},
+		{Name: "materializing", Opts: exec.Options{Mode: exec.Materializing}},
+		{Name: "columnar", Opts: exec.Options{}},
+		{Name: "columnar-p2-m1", Opts: exec.Options{Parallelism: 2, MorselSize: 1}},
+		{Name: "columnar-p8-m16", Opts: exec.Options{Parallelism: 8, MorselSize: 16}},
 	}
 }
 
@@ -582,27 +568,8 @@ func (sc *Scenario) GenAlgebraQuery(rng *rand.Rand) (*sparql.Query, error) {
 }
 
 // RunAlgebraQuery executes q through the algebra engine matrix and checks
-// all cells agree byte-identically in rows AND accounting; it also
-// asserts the materializing engine rejects q with ErrUnsupportedConstruct.
+// all cells agree byte-identically in rows AND accounting.
 func RunAlgebraQuery(q *sparql.Query, st store.Source, label string) (string, error) {
-	if _, _, err := exec.Query(q, st, exec.Options{Mode: exec.Materializing}); !errors.Is(err, exec.ErrUnsupportedConstruct) {
-		return "", fmt.Errorf("%s/materializing: error = %v, want ErrUnsupportedConstruct", label, err)
-	}
-	var ref, refName string
-	for _, er := range AlgebraEngineMatrix() {
-		res, _, err := exec.Query(q, st, er.Opts)
-		if err != nil {
-			return "", fmt.Errorf("%s/%s: %w", label, er.Name, err)
-		}
-		got := Canonical(st.Dict(), res)
-		if ref == "" {
-			ref, refName = got, er.Name
-			continue
-		}
-		if got != ref {
-			return "", fmt.Errorf("%s: engine %s diverges from %s\n--- %s\n%s\n--- %s\n%s",
-				label, er.Name, refName, refName, ref, er.Name, got)
-		}
-	}
-	return ref, nil
+	ref, _, err := runMatrix(q, st, label, AlgebraEngineMatrix())
+	return ref, err
 }

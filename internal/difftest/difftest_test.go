@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/sparql"
 	"repro/internal/store"
 )
 
@@ -220,9 +221,9 @@ func TestDifferentialSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDifferentialAlgebra cross-checks OPTIONAL/UNION/aggregate queries —
-// the compositional algebra the materializing baseline does not support —
-// across the streaming and columnar engines at Parallelism 1, 2 and 8,
+// TestDifferentialAlgebra cross-checks OPTIONAL/UNION/aggregate queries
+// across the materializing reference and the columnar engine at
+// Parallelism 1, 2 and 8,
 // over the pristine store, the delta overlay (whose history includes
 // pattern-driven WHERE updates) and the rebuilt reference store.
 func TestDifferentialAlgebra(t *testing.T) {
@@ -431,10 +432,11 @@ func mappedWorld(t *testing.T, sc *Scenario) (base, overlay *store.Store) {
 }
 
 // TestDifferentialMappedBase is the mmap-backed cell of the matrix: every
-// engine configuration (streaming and columnar, serial and at Parallelism 2
-// and 8) over the pristine mapped store and over a Delta overlay whose base
-// is mapped memory must be byte-identical — rows AND accounting — to the
-// heap-backed reference world.
+// engine configuration (materializing, and columnar serial and at
+// Parallelism 2 and 8) over the pristine mapped store and over a Delta
+// overlay whose base is mapped memory must be byte-identical — rows AND
+// accounting — to the heap-backed reference world, for random BGP and
+// algebra queries alike.
 func TestDifferentialMappedBase(t *testing.T) {
 	const queriesPerScenario = 15
 	for _, seed := range seedsUnderTest(t) {
@@ -448,35 +450,45 @@ func TestDifferentialMappedBase(t *testing.T) {
 				mbase.Len(), movl.Len(), sc.Base.Len(), sc.Overlay.Len()))
 		}
 		qrng := rand.New(rand.NewSource(sc.Seed * 3571))
+		arng := rand.New(rand.NewSource(sc.Seed * 7919))
 		for qi := 0; qi < queriesPerScenario; qi++ {
 			q, err := sc.GenQuery(qrng)
 			if err != nil {
 				reportFailure(t, sc, "", err)
 			}
-			text := q.String()
-			heapBase, err := RunQuery(q, sc.Base, "pristine-heap")
+			aq, err := sc.GenAlgebraQuery(arng)
 			if err != nil {
-				reportFailure(t, sc, text, err)
+				reportFailure(t, sc, "", err)
 			}
-			mapBase, err := RunQuery(q, mbase, "pristine-mapped")
-			if err != nil {
-				reportFailure(t, sc, text, err)
-			}
-			if mapBase != heapBase {
-				reportFailure(t, sc, text, fmt.Errorf(
-					"mapped base diverges from heap base\n--- heap\n%s\n--- mapped\n%s", heapBase, mapBase))
-			}
-			heapOvl, err := RunQuery(q, sc.Overlay, "overlay-heap")
-			if err != nil {
-				reportFailure(t, sc, text, err)
-			}
-			mapOvl, err := RunQuery(q, movl, "overlay-mapped")
-			if err != nil {
-				reportFailure(t, sc, text, err)
-			}
-			if mapOvl != heapOvl {
-				reportFailure(t, sc, text, fmt.Errorf(
-					"mapped overlay diverges from heap overlay\n--- heap\n%s\n--- mapped\n%s", heapOvl, mapOvl))
+			for _, c := range []struct {
+				q   *sparql.Query
+				run func(*sparql.Query, store.Source, string) (string, error)
+			}{{q, RunQuery}, {aq, RunAlgebraQuery}} {
+				text := c.q.String()
+				heapBase, err := c.run(c.q, sc.Base, "pristine-heap")
+				if err != nil {
+					reportFailure(t, sc, text, err)
+				}
+				mapBase, err := c.run(c.q, mbase, "pristine-mapped")
+				if err != nil {
+					reportFailure(t, sc, text, err)
+				}
+				if mapBase != heapBase {
+					reportFailure(t, sc, text, fmt.Errorf(
+						"mapped base diverges from heap base\n--- heap\n%s\n--- mapped\n%s", heapBase, mapBase))
+				}
+				heapOvl, err := c.run(c.q, sc.Overlay, "overlay-heap")
+				if err != nil {
+					reportFailure(t, sc, text, err)
+				}
+				mapOvl, err := c.run(c.q, movl, "overlay-mapped")
+				if err != nil {
+					reportFailure(t, sc, text, err)
+				}
+				if mapOvl != heapOvl {
+					reportFailure(t, sc, text, fmt.Errorf(
+						"mapped overlay diverges from heap overlay\n--- heap\n%s\n--- mapped\n%s", heapOvl, mapOvl))
+				}
 			}
 		}
 	}

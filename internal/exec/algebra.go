@@ -1,22 +1,23 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 
 	"repro/internal/dict"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
 
-// This file implements the compositional-algebra operators of the row
-// (streaming) engine plus the aggregation machinery shared with the
-// columnar engine: left outer hash join (OPTIONAL), ordered union with
-// unbound padding (UNION), and streaming hash aggregation (GROUP BY /
-// aggregates). The columnar twins live in colalgebra.go and apply the
-// exact same per-tuple accounting rules, so Rows, row order, Cout, Work
-// and Scanned stay bit-identical between the two engines.
+// This file implements the compositional algebra of the materializing
+// engine plus the aggregation machinery shared with the columnar engine:
+// evaluation of the logical algebra tree (BGP leaves, inner joins, left
+// outer joins for OPTIONAL, ordered unions with unbound padding for
+// UNION, group-scoped filters) and hash aggregation (GROUP BY /
+// aggregates / HAVING). The columnar operators live in colalgebra.go and
+// apply the exact same per-tuple accounting rules, so Rows, row order,
+// Cout, Work and Scanned stay bit-identical between the two engines.
 //
 // Unbound-variable semantics (fixed for this subset, deterministic):
 // an OPTIONAL left row without a match pads the right-only columns with
@@ -25,13 +26,44 @@ import (
 // the row in FILTER comparisons, sorts before every bound value in
 // ORDER BY, and is ignored by every aggregate except COUNT(*).
 
-// ErrUnsupportedConstruct is returned by the materializing engine for
-// queries using OPTIONAL, UNION or aggregation. The materializing engine
-// is the frozen paper baseline: it executes exactly the flat BGP + FILTER
-// shape the paper's experiments use, so the algebra extensions are
-// deliberately not implemented there.
-var ErrUnsupportedConstruct = errors.New(
-	"exec: the materializing engine does not support OPTIONAL/UNION/aggregation (frozen paper baseline)")
+// evalAlg evaluates one algebra node bottom-up, mirroring plan.Lower's
+// composition exactly: a BGP leaf is its optimized join tree, an inner
+// join runs the configured join kernel (a cross product when no variable
+// is shared), a left join runs the left outer hash join, and a union
+// concatenates its branches. Every join, left join and union output
+// counts toward Cout, and the node's group filters apply to its output.
+func (ex *executor) evalAlg(a *plan.AlgNode) (*relation, error) {
+	var rel *relation
+	var err error
+	switch a.Kind {
+	case plan.AlgBGP:
+		rel, err = ex.eval(a.Root)
+	case plan.AlgJoin, plan.AlgLeftJoin:
+		var l, r *relation
+		if l, err = ex.evalAlg(a.Left); err != nil {
+			return nil, err
+		}
+		if r, err = ex.evalAlg(a.Right); err != nil {
+			return nil, err
+		}
+		if a.Kind == plan.AlgJoin {
+			rel, err = ex.join(l, r)
+		} else {
+			rel, err = ex.leftJoin(l, r)
+		}
+		if err == nil {
+			ex.cout += float64(len(rel.rows))
+		}
+	case plan.AlgUnion:
+		rel, err = ex.union(a.Branches)
+	default:
+		err = fmt.Errorf("exec: unknown algebra node %v", a.Kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ex.applyFilters(rel, a.Filters)
+}
 
 // --- Left outer hash join (OPTIONAL) -----------------------------------------
 
@@ -45,8 +77,8 @@ var ErrUnsupportedConstruct = errors.New(
 // build row, +1 per probe, +1 per emitted row; the caller charges the
 // output size to Cout.
 func (ex *executor) leftJoin(l, r *relation) (*relation, error) {
-	shared := sharedCols(l, r)
-	vars, rightCopy := outputSchema(l, r)
+	shared := sharedCols(l.vars, r.vars)
+	vars, rightCopy := outputSchema(l.vars, r.vars)
 	var keyBuf []byte
 	key := func(row []dict.ID, side int) string {
 		keyBuf = keyBuf[:0]
@@ -97,60 +129,6 @@ func (ex *executor) leftJoin(l, r *relation) (*relation, error) {
 	return out, nil
 }
 
-// leftJoinOp is the streaming pipeline breaker for PhysLeftJoin: both
-// children are drained (the left side's order must be preserved, so the
-// left is buffered like any composite join input), the kernel runs once,
-// and the result streams out in batches.
-type leftJoinOp struct {
-	ex          *executor
-	left, right operator
-	joined      bool
-	outVars     []sparql.Var
-	rows        [][]dict.ID
-	pos         int
-}
-
-func (op *leftJoinOp) vars() []sparql.Var {
-	if op.outVars == nil {
-		op.outVars, _ = outputSchema(
-			&relation{vars: op.left.vars()},
-			&relation{vars: op.right.vars()},
-		)
-	}
-	return op.outVars
-}
-
-func (op *leftJoinOp) next() ([][]dict.ID, error) {
-	if !op.joined {
-		op.joined = true
-		l, err := drain(op.left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := drain(op.right)
-		if err != nil {
-			return nil, err
-		}
-		out, err := op.ex.leftJoin(l, r)
-		if err != nil {
-			return nil, err
-		}
-		op.ex.cout += float64(len(out.rows))
-		op.outVars = out.vars
-		op.rows = out.rows
-	}
-	if op.pos >= len(op.rows) {
-		return nil, nil
-	}
-	end := op.pos + streamBatch
-	if end > len(op.rows) {
-		end = len(op.rows)
-	}
-	batch := op.rows[op.pos:end]
-	op.pos = end
-	return batch, nil
-}
-
 // --- Union -------------------------------------------------------------------
 
 // unionColMaps resolves, per branch, each union output column to the
@@ -167,51 +145,39 @@ func unionColMaps(outVars []sparql.Var, kidVars [][]sparql.Var) [][]int {
 	return maps
 }
 
-// unionOp concatenates its children in order, streaming each child to
-// exhaustion before starting the next and padding columns the child does
-// not bind with dict.None. Accounting: +1 work per emitted row, and the
-// full output size counts toward Cout (the union materializes a new
-// intermediate result exactly like a join output).
-type unionOp struct {
-	ex      *executor
-	kids    []operator
-	outVars []sparql.Var
-	maps    [][]int
-	cur     int
-}
-
-func (op *unionOp) vars() []sparql.Var { return op.outVars }
-
-func (op *unionOp) next() ([][]dict.ID, error) {
-	for op.cur < len(op.kids) {
-		if err := op.ex.cancelled(); err != nil {
-			return nil, err
-		}
-		batch, err := op.kids[op.cur].next()
+// union evaluates the branches in order and concatenates their rows over
+// the union schema (every branch's variables in first-occurrence order),
+// padding columns a branch does not bind with dict.None. Accounting: +1
+// work per emitted row, and the full output size counts toward Cout (the
+// union materializes a new intermediate result exactly like a join
+// output).
+func (ex *executor) union(branches []*plan.AlgNode) (*relation, error) {
+	kids := make([]*relation, len(branches))
+	kidVars := make([][]sparql.Var, len(branches))
+	out := &relation{}
+	for i, br := range branches {
+		kid, err := ex.evalAlg(br)
 		if err != nil {
 			return nil, err
 		}
-		if batch == nil {
-			op.cur++
-			continue
-		}
-		m := op.maps[op.cur]
-		out := make([][]dict.ID, len(batch))
-		for i, row := range batch {
-			nr := make([]dict.ID, len(op.outVars))
+		kids[i], kidVars[i] = kid, kid.vars
+		out.vars, _ = outputSchema(out.vars, kid.vars)
+	}
+	for i, m := range unionColMaps(out.vars, kidVars) {
+		for _, row := range kids[i].rows {
+			nr := make([]dict.ID, len(out.vars))
 			for j, ci := range m {
 				if ci >= 0 {
 					nr[j] = row[ci]
 				}
 			}
-			out[i] = nr
-			op.ex.work++ // emit cost
-			op.ex.kern.UnionRows++
+			out.rows = append(out.rows, nr)
 		}
-		op.ex.cout += float64(len(out))
-		return out, nil
 	}
-	return nil, nil
+	ex.work += float64(len(out.rows)) // emit cost
+	ex.kern.UnionRows += len(out.rows)
+	ex.cout += float64(len(out.rows))
+	return out, nil
 }
 
 // --- Aggregation -------------------------------------------------------------
@@ -223,21 +189,57 @@ type aggSpec struct {
 	col      int // source column; -1 for COUNT(*)
 }
 
-// compileAggs resolves the aggregates' argument variables to columns.
-func compileAggs(vars []sparql.Var, aggs []sparql.Aggregate) ([]aggSpec, error) {
+// compileGrouping resolves the GROUP BY keys and the aggregates' argument
+// variables against the input schema.
+func compileGrouping(vars, groupBy []sparql.Var, aggs []sparql.Aggregate) ([]int, []aggSpec, error) {
+	keyCols := make([]int, len(groupBy))
+	for i, v := range groupBy {
+		ci := varIndexOf(vars, v)
+		if ci < 0 {
+			return nil, nil, fmt.Errorf("exec: GROUP BY unbound variable ?%s", v)
+		}
+		keyCols[i] = ci
+	}
 	specs := make([]aggSpec, len(aggs))
 	for i, a := range aggs {
 		s := aggSpec{fn: a.Func, distinct: a.Distinct, col: -1}
 		if a.Var != "" {
 			ci := varIndexOf(vars, a.Var)
 			if ci < 0 {
-				return nil, fmt.Errorf("exec: aggregate over unbound variable ?%s", a.Var)
+				return nil, nil, fmt.Errorf("exec: aggregate over unbound variable ?%s", a.Var)
 			}
 			s.col = ci
 		}
 		specs[i] = s
 	}
-	return specs, nil
+	return keyCols, specs, nil
+}
+
+// aggregate is the materializing engine's aggregation step: when q groups
+// or aggregates, rel collapses to one row per group over the schema
+// (GROUP BY keys, then aggregate aliases), and HAVING filters the groups.
+// Other queries pass through unchanged.
+func (ex *executor) aggregate(rel *relation, q *sparql.Query) (*relation, error) {
+	if len(q.GroupBy) == 0 && len(q.Aggs) == 0 {
+		return rel, nil
+	}
+	keyCols, specs, err := compileGrouping(rel.vars, q.GroupBy, q.Aggs)
+	if err != nil {
+		return nil, err
+	}
+	out := &relation{vars: append([]sparql.Var(nil), q.GroupBy...)}
+	for _, a := range q.Aggs {
+		if varIndexOf(out.vars, a.As) >= 0 {
+			return nil, fmt.Errorf("exec: duplicate aggregate output ?%s", a.As)
+		}
+		out.vars = append(out.vars, a.As)
+	}
+	out.rows, err = aggregateRows(ex, func(r, c int) dict.ID { return rel.rows[r][c] },
+		len(rel.rows), keyCols, specs)
+	if err != nil {
+		return nil, err
+	}
+	return ex.applyFilters(out, q.Having)
 }
 
 // aggState is the running state of one aggregate over one group.
@@ -395,63 +397,4 @@ func finishAgg(d *dict.Dict, sp *aggSpec, st *aggState) dict.ID {
 		return st.maxID
 	}
 	return dict.None
-}
-
-// aggOp is the streaming hash-aggregation pipeline breaker: drain the
-// input, run the shared kernel, stream the group rows.
-type aggOp struct {
-	ex      *executor
-	child   operator
-	outVars []sparql.Var
-	keyCols []int
-	specs   []aggSpec
-	done    bool
-	rows    [][]dict.ID
-	pos     int
-}
-
-func newAggOp(ex *executor, child operator, groupBy []sparql.Var, aggs []sparql.Aggregate, outVars []sparql.Var) (*aggOp, error) {
-	in := child.vars()
-	keyCols := make([]int, len(groupBy))
-	for i, v := range groupBy {
-		ci := varIndexOf(in, v)
-		if ci < 0 {
-			return nil, fmt.Errorf("exec: GROUP BY unbound variable ?%s", v)
-		}
-		keyCols[i] = ci
-	}
-	specs, err := compileAggs(in, aggs)
-	if err != nil {
-		return nil, err
-	}
-	return &aggOp{ex: ex, child: child, outVars: outVars, keyCols: keyCols, specs: specs}, nil
-}
-
-func (op *aggOp) vars() []sparql.Var { return op.outVars }
-
-func (op *aggOp) next() ([][]dict.ID, error) {
-	if !op.done {
-		op.done = true
-		rel, err := drain(op.child)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := aggregateRows(op.ex,
-			func(r, c int) dict.ID { return rel.rows[r][c] },
-			len(rel.rows), op.keyCols, op.specs)
-		if err != nil {
-			return nil, err
-		}
-		op.rows = rows
-	}
-	if op.pos >= len(op.rows) {
-		return nil, nil
-	}
-	end := op.pos + streamBatch
-	if end > len(op.rows) {
-		end = len(op.rows)
-	}
-	batch := op.rows[op.pos:end]
-	op.pos = end
-	return batch, nil
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -74,29 +73,38 @@ var algebraQueries = []struct {
 	}`},
 }
 
-// TestAlgebraStreamingColumnarIdentical asserts the tentpole acceptance
-// criterion: for every algebra construct, the streaming and columnar
-// engines produce bit-identical rows, row order and Cout/Work/Scanned
-// accounting at Parallelism 1, 2 and 8.
+// engineOptions are the two engines the semantics tests run on.
+var engineOptions = map[string]Options{
+	"columnar":      {},
+	"materializing": {Mode: Materializing},
+}
+
+// TestAlgebraStreamingColumnarIdentical: for every algebra construct, the
+// pipelined columnar engine is bit-identical to the materializing
+// reference — rows, row order and Cout/Work/Scanned accounting — at
+// Parallelism 1, 2 and 8.
 func TestAlgebraStreamingColumnarIdentical(t *testing.T) {
 	st := buildSocialStore(t)
 	for _, q := range algebraQueries {
 		t.Run(q.name, func(t *testing.T) {
-			ref := run(t, st, q.src, Options{Mode: Streaming})
+			ref := run(t, st, q.src, Options{Mode: Materializing})
 			for _, par := range []int{1, 2, 8} {
-				for _, mode := range []ExecMode{Streaming, Columnar} {
-					res := run(t, st, q.src, Options{Mode: mode, Parallelism: par, MorselSize: 2})
-					if !reflect.DeepEqual(res.Rows, ref.Rows) {
-						t.Fatalf("mode=%v par=%d rows diverge:\n%v\nwant\n%v",
-							mode, par, decodeRows(st, res), decodeRows(st, ref))
-					}
-					if !reflect.DeepEqual(res.Vars, ref.Vars) {
-						t.Fatalf("mode=%v par=%d vars = %v, want %v", mode, par, res.Vars, ref.Vars)
-					}
-					if res.Cout != ref.Cout || res.Work != ref.Work || res.Scanned != ref.Scanned {
-						t.Fatalf("mode=%v par=%d accounting (cout=%v work=%v scanned=%v) diverges from (%v %v %v)",
-							mode, par, res.Cout, res.Work, res.Scanned, ref.Cout, ref.Work, ref.Scanned)
-					}
+				res := run(t, st, q.src, Options{Parallelism: par, MorselSize: 2})
+				if !reflect.DeepEqual(res.Rows, ref.Rows) {
+					t.Fatalf("par=%d rows diverge:\n%v\nwant\n%v",
+						par, decodeRows(st, res), decodeRows(st, ref))
+				}
+				if !reflect.DeepEqual(res.Vars, ref.Vars) {
+					t.Fatalf("par=%d vars = %v, want %v", par, res.Vars, ref.Vars)
+				}
+				if res.Cout != ref.Cout || res.Work != ref.Work || res.Scanned != ref.Scanned {
+					t.Fatalf("par=%d accounting (cout=%v work=%v scanned=%v) diverges from (%v %v %v)",
+						par, res.Cout, res.Work, res.Scanned, ref.Cout, ref.Work, ref.Scanned)
+				}
+				if res.Kernels.LeftJoinRows != ref.Kernels.LeftJoinRows ||
+					res.Kernels.UnionRows != ref.Kernels.UnionRows ||
+					res.Kernels.AggGroups != ref.Kernels.AggGroups {
+					t.Fatalf("par=%d algebra counters %+v, want %+v", par, res.Kernels, ref.Kernels)
 				}
 			}
 		})
@@ -104,13 +112,19 @@ func TestAlgebraStreamingColumnarIdentical(t *testing.T) {
 }
 
 func TestOptionalSemantics(t *testing.T) {
+	for name, opts := range engineOptions {
+		t.Run(name, func(t *testing.T) { testOptionalSemantics(t, opts) })
+	}
+}
+
+func testOptionalSemantics(t *testing.T, opts Options) {
 	st := buildSocialStore(t)
 	// bob knows carol; carol created post2; alice knows bob, and bob
 	// created post1 and post3. Every knows edge must survive.
 	res := run(t, st, `SELECT ?p ?q ?post WHERE {
 		?p <http://x/knows> ?q .
 		OPTIONAL { ?post <http://x/creator> ?q . }
-	} ORDER BY ?p ?q ?post`, Options{})
+	} ORDER BY ?p ?q ?post`, opts)
 	got := decodeRows(st, res)
 	want := []string{
 		"<http://x/alice> | <http://x/bob> | <http://x/post1>",
@@ -125,7 +139,7 @@ func TestOptionalSemantics(t *testing.T) {
 	res = run(t, st, `SELECT ?p ?x WHERE {
 		?p <http://x/age> ?a .
 		OPTIONAL { ?p <http://x/nosuch> ?x . }
-	} ORDER BY ?p`, Options{})
+	} ORDER BY ?p`, opts)
 	got = decodeRows(st, res)
 	want = []string{
 		"<http://x/alice> | UNDEF",
@@ -138,10 +152,16 @@ func TestOptionalSemantics(t *testing.T) {
 }
 
 func TestUnionSemantics(t *testing.T) {
+	for name, opts := range engineOptions {
+		t.Run(name, func(t *testing.T) { testUnionSemantics(t, opts) })
+	}
+}
+
+func testUnionSemantics(t *testing.T, opts Options) {
 	st := buildSocialStore(t)
 	res := run(t, st, `SELECT ?s WHERE {
 		{ ?s <http://x/knows> <http://x/carol> . } UNION { ?s <http://x/age> ?a . FILTER(?a > 40) }
-	} ORDER BY ?s`, Options{})
+	} ORDER BY ?s`, opts)
 	got := decodeRows(st, res)
 	// alice and bob know carol; carol is 45. Union keeps duplicates.
 	want := []string{"<http://x/alice>", "<http://x/bob>", "<http://x/carol>"}
@@ -151,10 +171,16 @@ func TestUnionSemantics(t *testing.T) {
 }
 
 func TestAggregateSemantics(t *testing.T) {
+	for name, opts := range engineOptions {
+		t.Run(name, func(t *testing.T) { testAggregateSemantics(t, opts) })
+	}
+}
+
+func testAggregateSemantics(t *testing.T, opts Options) {
 	st := buildSocialStore(t)
 	res := run(t, st, `SELECT ?c (COUNT(*) AS ?n) WHERE {
 		?post <http://x/creator> ?c .
-	} GROUP BY ?c ORDER BY DESC(?n)`, Options{})
+	} GROUP BY ?c ORDER BY DESC(?n)`, opts)
 	got := decodeRows(st, res)
 	want := []string{
 		`<http://x/bob> | "2"^^<http://www.w3.org/2001/XMLSchema#integer>`,
@@ -166,7 +192,7 @@ func TestAggregateSemantics(t *testing.T) {
 	// Global aggregation over empty input: one row, COUNT 0, MIN unbound.
 	res = run(t, st, `SELECT (COUNT(*) AS ?n) (MIN(?a) AS ?m) WHERE {
 		?p <http://x/nosuch> ?a .
-	}`, Options{})
+	}`, opts)
 	got = decodeRows(st, res)
 	want = []string{`"0"^^<http://www.w3.org/2001/XMLSchema#integer> | UNDEF`}
 	if !reflect.DeepEqual(got, want) {
@@ -174,23 +200,19 @@ func TestAggregateSemantics(t *testing.T) {
 	}
 }
 
-// TestMaterializingRejectsAlgebra pins the materializing engine as the
-// frozen paper baseline: algebra constructs return the typed error.
-func TestMaterializingRejectsAlgebra(t *testing.T) {
+// TestAlgebraErrorPaths: both engines reject algebra queries naming
+// variables their group or input does not bind.
+func TestAlgebraErrorPaths(t *testing.T) {
 	st := buildSocialStore(t)
 	for _, src := range []string{
-		`SELECT * WHERE { ?s <http://x/knows> ?o . OPTIONAL { ?o <http://x/age> ?a . } }`,
-		`SELECT * WHERE { { ?s <http://x/knows> ?o . } UNION { ?s <http://x/age> ?a . } }`,
-		`SELECT (COUNT(*) AS ?n) WHERE { ?s <http://x/knows> ?o . }`,
+		`SELECT (COUNT(*) AS ?n) WHERE { ?p <http://x/knows> ?q . } GROUP BY ?nope`,
+		`SELECT ?p (SUM(?nope) AS ?n) WHERE { ?p <http://x/knows> ?q . } GROUP BY ?p`,
+		`SELECT * WHERE { ?p <http://x/knows> ?q . OPTIONAL { ?q <http://x/age> ?a . FILTER(?nope > 1) } }`,
 	} {
-		_, _, err := Query(sparql.MustParse(src), st, Options{Mode: Materializing})
-		if !errors.Is(err, ErrUnsupportedConstruct) {
-			t.Fatalf("materializing error = %v, want ErrUnsupportedConstruct", err)
+		for name, opts := range engineOptions {
+			if _, _, err := Query(sparql.MustParse(src), st, opts); err == nil {
+				t.Errorf("%s: expected error for %q", name, src)
+			}
 		}
-	}
-	// Flat queries still work.
-	res := run(t, st, `SELECT * WHERE { ?s <http://x/knows> ?o . }`, Options{Mode: Materializing})
-	if len(res.Rows) != 3 {
-		t.Fatalf("flat materializing rows = %d, want 3", len(res.Rows))
 	}
 }

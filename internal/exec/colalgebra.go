@@ -5,10 +5,10 @@ import (
 	"repro/internal/sparql"
 )
 
-// Columnar twins of the compositional-algebra operators (algebra.go).
-// Each applies the row kernel's per-tuple accounting rules to the same
-// logical tuple stream, so Rows, row order, Cout, Work and Scanned are
-// bit-identical to the streaming engine; only KernelStats (batch/gather
+// Columnar operators of the compositional algebra. Each applies the
+// materializing engine's per-tuple accounting rules (algebra.go) to the
+// same logical tuple stream, so Rows, row order, Cout, Work and Scanned
+// are bit-identical to Materializing; only KernelStats (batch/gather
 // counts and the columnar probe counter) describe the columnar schedule.
 
 // --- Left outer hash join (OPTIONAL) -----------------------------------------
@@ -18,8 +18,8 @@ import (
 // dict.None. Same accounting: +1 work per build row, per probe and per
 // emitted row.
 func (ex *executor) colLeftJoin(l, r *colRelation) (*colRelation, error) {
-	shared := colSharedCols(l.vars, r.vars)
-	vars, extra := outputSchema(&relation{vars: l.vars}, &relation{vars: r.vars})
+	shared := sharedCols(l.vars, r.vars)
+	vars, extra := outputSchema(l.vars, r.vars)
 	var keyBuf []byte
 	rKey := func(row int32) string {
 		keyBuf = keyBuf[:0]
@@ -91,25 +91,19 @@ func (ex *executor) colLeftJoin(l, r *colRelation) (*colRelation, error) {
 type colLeftJoinOp struct {
 	ex          *executor
 	left, right colOperator
-	joined      bool
 	outVars     []sparql.Var
-	out         *colRelation
-	pos         int
+	buf         colBuffer
 }
 
 func (op *colLeftJoinOp) vars() []sparql.Var {
 	if op.outVars == nil {
-		op.outVars, _ = outputSchema(
-			&relation{vars: op.left.vars()},
-			&relation{vars: op.right.vars()},
-		)
+		op.outVars, _ = outputSchema(op.left.vars(), op.right.vars())
 	}
 	return op.outVars
 }
 
 func (op *colLeftJoinOp) next() (*colBatch, error) {
-	if !op.joined {
-		op.joined = true
+	return op.buf.next(op.ex, func() (*colRelation, error) {
 		l, err := op.ex.drainCol(op.left)
 		if err != nil {
 			return nil, err
@@ -124,27 +118,16 @@ func (op *colLeftJoinOp) next() (*colBatch, error) {
 		}
 		op.ex.cout += float64(out.n)
 		op.outVars = out.vars
-		op.out = out
-	}
-	if op.pos >= op.out.n {
-		return nil, nil
-	}
-	end := op.pos + streamBatch
-	if end > op.out.n {
-		end = op.out.n
-	}
-	b := op.out.window(op.pos, end)
-	op.pos = end
-	op.ex.kern.Batches++
-	return b, nil
+		return out, nil
+	})
 }
 
 // --- Union -------------------------------------------------------------------
 
 // colUnionOp streams each branch to exhaustion in order, gathering live
 // rows into dense batches over the union schema and padding columns the
-// branch does not bind with dict.None. Same accounting as unionOp: +1
-// work per emitted row, output size toward Cout.
+// branch does not bind with dict.None. Same accounting as the row union:
+// +1 work per emitted row, output size toward Cout.
 type colUnionOp struct {
 	ex      *executor
 	kids    []colOperator
@@ -208,16 +191,13 @@ type colAggOp struct {
 	outVars []sparql.Var
 	keyCols []int
 	specs   []aggSpec
-	done    bool
-	out     *colRelation
-	pos     int
+	buf     colBuffer
 }
 
 func (op *colAggOp) vars() []sparql.Var { return op.outVars }
 
 func (op *colAggOp) next() (*colBatch, error) {
-	if !op.done {
-		op.done = true
+	return op.buf.next(op.ex, func() (*colRelation, error) {
 		rel, err := op.ex.drainCol(op.child)
 		if err != nil {
 			return nil, err
@@ -235,17 +215,6 @@ func (op *colAggOp) next() (*colBatch, error) {
 			}
 			out.n++
 		}
-		op.out = out
-	}
-	if op.pos >= op.out.n {
-		return nil, nil
-	}
-	end := op.pos + streamBatch
-	if end > op.out.n {
-		end = op.out.n
-	}
-	b := op.out.window(op.pos, end)
-	op.pos = end
-	op.ex.kern.Batches++
-	return b, nil
+		return out, nil
+	})
 }

@@ -10,25 +10,29 @@ import (
 	"repro/internal/store"
 )
 
-// This file implements the columnar engine: the same lowered physical plan
-// as the streaming engine, executed over dense per-variable column batches
-// with optional selection vectors instead of row slices. Filters refine a
-// selection vector (with a per-ID verdict memo for column-vs-constant
-// comparisons), probes and joins append column-wise, and sorts permute an
-// index array instead of moving rows.
+// This file implements the columnar engine: the lowered physical plan
+// executed over dense per-variable column batches with optional selection
+// vectors. Filters refine a selection vector (with a per-ID verdict memo
+// for column-vs-constant comparisons), probes and joins append
+// column-wise, and sorts permute an index array instead of moving rows.
 //
-// Bit-identity argument: every operator applies the streaming engine's
-// per-tuple accounting rules to the same logical tuple stream (selection
-// vectors carry exactly the rows a streaming batch would carry), the hash
-// join uses the same build-side rule and probe order, the merge join sorts
-// a permutation array with the same comparator (identical comparator
-// outcomes at every step imply the identical final arrangement), and ORDER
-// BY uses a stable sort whose result is uniquely determined by keys plus
-// input order. Rows, row order, Cout, Work and Scanned are therefore
-// bit-identical to Streaming for the same options at every Parallelism —
-// which the golden and differential suites assert. KernelStats (batch and
-// kernel-row counts) describe the columnar schedule and are excluded from
-// that comparison.
+// Bit-identity argument: every operator applies the materializing
+// engine's per-tuple accounting rules to the same logical tuple stream
+// (selection vectors carry exactly the live rows), the hash join uses the
+// row kernel's build-side rule and probe order, the merge join sorts a
+// permutation array with the row kernel's comparator (identical
+// comparator outcomes at every step imply the identical final
+// arrangement), and ORDER BY uses a stable sort whose result is uniquely
+// determined by keys plus input order. Rows, row order, Cout, Work and
+// Scanned are therefore bit-identical to Materializing at every
+// Parallelism (with EarlyStop off) — which the golden and differential
+// suites assert. KernelStats (batch and kernel-row counts) describe the
+// columnar schedule and are excluded from that comparison.
+
+// streamBatch is the number of triples a scan pulls per batch, and the
+// number of rows a pipeline breaker emits per window. Batches amortize
+// the per-call overhead while keeping pipeline memory bounded.
+const streamBatch = 1024
 
 // colBatch is a batch of rows in columnar layout: one dense column per
 // schema variable, each of length n, plus an optional selection vector of
@@ -96,6 +100,32 @@ func (r *colRelation) window(lo, hi int) *colBatch {
 	return &colBatch{schema: r.vars, cols: cols, n: hi - lo}
 }
 
+// colBuffer is the emit side of a columnar pipeline breaker: the first
+// next() call materializes the operator's whole output through fill, and
+// every call hands out the next dense window of at most streamBatch rows.
+type colBuffer struct {
+	out *colRelation // nil until filled
+	pos int
+}
+
+func (cb *colBuffer) next(ex *executor, fill func() (*colRelation, error)) (*colBatch, error) {
+	if cb.out == nil {
+		out, err := fill()
+		if err != nil {
+			return nil, err
+		}
+		cb.out = out
+	}
+	if cb.pos >= cb.out.n {
+		return nil, nil
+	}
+	end := min(cb.pos+streamBatch, cb.out.n)
+	b := cb.out.window(cb.pos, end)
+	cb.pos = end
+	ex.kern.Batches++
+	return b, nil
+}
+
 // colOperator is the pull-based columnar operator interface. next returns
 // the next batch (never empty of live rows), or nil when exhausted.
 type colOperator interface {
@@ -147,8 +177,10 @@ func (ex *executor) runColumnar(c *plan.Compiled, p *plan.Plan) (*relation, erro
 	}
 }
 
-// colBuild constructs the columnar operator for one physical node,
-// dispatching parallelism-eligible pipelines like the streaming build.
+// colBuild constructs the columnar operator for one physical node. A node
+// marked by the lowering as the top of a parallelism-eligible pipeline
+// becomes a morsel-driven parallel operator when the run's Parallelism
+// allows it; everything else is built by colBuildNode.
 func (ex *executor) colBuild(n *plan.PhysNode) (colOperator, error) {
 	if ex.trace != nil {
 		return ex.colBuildTraced(n)
@@ -251,16 +283,7 @@ func (ex *executor) colBuildNode(n *plan.PhysNode) (colOperator, error) {
 		if err != nil {
 			return nil, err
 		}
-		in := child.vars()
-		keyCols := make([]int, len(n.GroupBy))
-		for i, v := range n.GroupBy {
-			ci := varIndexOf(in, v)
-			if ci < 0 {
-				return nil, fmt.Errorf("exec: GROUP BY unbound variable ?%s", v)
-			}
-			keyCols[i] = ci
-		}
-		specs, err := compileAggs(in, n.Aggs)
+		keyCols, specs, err := compileGrouping(child.vars(), n.GroupBy, n.Aggs)
 		if err != nil {
 			return nil, err
 		}
@@ -599,17 +622,6 @@ func (op *colFilterOp) next() (*colBatch, error) {
 
 // --- Hash / sort-merge / cross joins -----------------------------------------
 
-// colSharedCols returns (leftCol, rightCol) pairs of same-variable columns.
-func colSharedCols(lvars, rvars []sparql.Var) [][2]int {
-	var out [][2]int
-	for li, v := range lvars {
-		if ri := varIndexOf(rvars, v); ri >= 0 {
-			out = append(out, [2]int{li, ri})
-		}
-	}
-	return out
-}
-
 // colSrc names the source of one output column of a columnar join.
 type colSrc struct {
 	fromBuild bool
@@ -617,11 +629,11 @@ type colSrc struct {
 }
 
 // colJoinLayout computes the output schema and per-column sources of a
-// hash join, preserving the streaming engine's left/right orientation
-// rules (schemaFor/combineRows) exactly.
+// hash join, preserving the row kernel's left/right orientation rules
+// (schemaFor/combineRows) exactly.
 func colJoinLayout(build, probe *colRelation, swapped bool) ([]sparql.Var, []colSrc) {
 	if swapped {
-		vars, extra := outputSchema(&relation{vars: probe.vars}, &relation{vars: build.vars})
+		vars, extra := outputSchema(probe.vars, build.vars)
 		src := make([]colSrc, 0, len(vars))
 		for i := range probe.vars {
 			src = append(src, colSrc{fromBuild: false, col: i})
@@ -631,7 +643,7 @@ func colJoinLayout(build, probe *colRelation, swapped bool) ([]sparql.Var, []col
 		}
 		return vars, src
 	}
-	vars, extra := outputSchema(&relation{vars: build.vars}, &relation{vars: probe.vars})
+	vars, extra := outputSchema(build.vars, probe.vars)
 	src := make([]colSrc, 0, len(vars))
 	for i := range build.vars {
 		src = append(src, colSrc{fromBuild: true, col: i})
@@ -648,61 +660,46 @@ type colJoinOp struct {
 	ex          *executor
 	op          plan.PhysOp
 	left, right colOperator
-	joined      bool
 	outVars     []sparql.Var
-	out         *colRelation
-	pos         int
+	buf         colBuffer
 }
 
 func (op *colJoinOp) vars() []sparql.Var {
 	if op.outVars == nil {
-		op.outVars, _ = outputSchema(
-			&relation{vars: op.left.vars()},
-			&relation{vars: op.right.vars()},
-		)
+		op.outVars, _ = outputSchema(op.left.vars(), op.right.vars())
 	}
 	return op.outVars
 }
 
 func (op *colJoinOp) next() (*colBatch, error) {
-	if !op.joined {
-		op.joined = true
-		l, err := op.ex.drainCol(op.left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := op.ex.drainCol(op.right)
-		if err != nil {
-			return nil, err
-		}
-		var out *colRelation
-		shared := colSharedCols(l.vars, r.vars)
-		switch {
-		case op.op == plan.PhysCross || len(shared) == 0:
-			out, err = op.ex.colCross(l, r)
-		case op.op == plan.PhysMergeJoin:
-			out, err = op.ex.colMergeJoin(l, r, shared)
-		default:
-			out, err = op.ex.colHashJoin(l, r, shared)
-		}
-		if err != nil {
-			return nil, err
-		}
-		op.ex.cout += float64(out.n)
-		op.outVars = out.vars
-		op.out = out
+	return op.buf.next(op.ex, op.join)
+}
+
+func (op *colJoinOp) join() (*colRelation, error) {
+	l, err := op.ex.drainCol(op.left)
+	if err != nil {
+		return nil, err
 	}
-	if op.pos >= op.out.n {
-		return nil, nil
+	r, err := op.ex.drainCol(op.right)
+	if err != nil {
+		return nil, err
 	}
-	end := op.pos + streamBatch
-	if end > op.out.n {
-		end = op.out.n
+	var out *colRelation
+	shared := sharedCols(l.vars, r.vars)
+	switch {
+	case op.op == plan.PhysCross || len(shared) == 0:
+		out, err = op.ex.colCross(l, r)
+	case op.op == plan.PhysMergeJoin:
+		out, err = op.ex.colMergeJoin(l, r, shared)
+	default:
+		out, err = op.ex.colHashJoin(l, r, shared)
 	}
-	b := op.out.window(op.pos, end)
-	op.pos = end
-	op.ex.kern.Batches++
-	return b, nil
+	if err != nil {
+		return nil, err
+	}
+	op.ex.cout += float64(out.n)
+	op.outVars = out.vars
+	return out, nil
 }
 
 // colHashJoin is the columnar hash join: same build-side rule, same probe
@@ -868,7 +865,7 @@ func (ex *executor) colMergeJoin(l, r *colRelation, shared [][2]int) (out *colRe
 	sort.Slice(lperm, ex.lessWithCancel(func(i, j int) bool { return lCmp(lperm[i], lperm[j]) < 0 }))
 	sort.Slice(rperm, ex.lessWithCancel(func(i, j int) bool { return rCmp(rperm[i], rperm[j]) < 0 }))
 	ex.work += float64(l.n + r.n) // sort pass (linear proxy)
-	vars, extra := outputSchema(&relation{vars: l.vars}, &relation{vars: r.vars})
+	vars, extra := outputSchema(l.vars, r.vars)
 	out = &colRelation{vars: vars, cols: make([][]dict.ID, len(vars))}
 	nl := len(l.vars)
 	steps := 0
@@ -923,7 +920,7 @@ func (ex *executor) colMergeJoin(l, r *colRelation, shared [][2]int) (out *colRe
 
 // colCross is the columnar cross product.
 func (ex *executor) colCross(l, r *colRelation) (*colRelation, error) {
-	vars, extra := outputSchema(&relation{vars: l.vars}, &relation{vars: r.vars})
+	vars, extra := outputSchema(l.vars, r.vars)
 	out := &colRelation{vars: vars, cols: make([][]dict.ID, len(vars))}
 	nl := len(l.vars)
 	steps := 0
@@ -959,19 +956,16 @@ func (ex *executor) colCross(l, r *colRelation) (*colRelation, error) {
 // colOrderOp drains its input and stable-sorts a permutation array by the
 // ORDER BY keys, then gathers the columns once in sorted order.
 type colOrderOp struct {
-	ex     *executor
-	child  colOperator
-	keys   []sparql.OrderKey
-	sorted bool
-	out    *colRelation
-	pos    int
+	ex    *executor
+	child colOperator
+	keys  []sparql.OrderKey
+	buf   colBuffer
 }
 
 func (op *colOrderOp) vars() []sparql.Var { return op.child.vars() }
 
 func (op *colOrderOp) next() (*colBatch, error) {
-	if !op.sorted {
-		op.sorted = true
+	return op.buf.next(op.ex, func() (*colRelation, error) {
 		rel, err := op.ex.drainCol(op.child)
 		if err != nil {
 			return nil, err
@@ -980,23 +974,13 @@ func (op *colOrderOp) next() (*colBatch, error) {
 			return nil, err
 		}
 		op.ex.work += float64(rel.n)
-		op.out = rel
-	}
-	if op.pos >= op.out.n {
-		return nil, nil
-	}
-	end := op.pos + streamBatch
-	if end > op.out.n {
-		end = op.out.n
-	}
-	b := op.out.window(op.pos, end)
-	op.pos = end
-	op.ex.kern.Batches++
-	return b, nil
+		return rel, nil
+	})
 }
 
 // sortRel permutes rel into ORDER BY order (stable, so the result is the
-// unique keys-then-input-order arrangement the row engines produce).
+// unique keys-then-input-order arrangement the materializing engine
+// produces).
 func (op *colOrderOp) sortRel(rel *colRelation) (err error) {
 	d := op.ex.st.Dict()
 	cols := make([]int, len(op.keys))
@@ -1127,8 +1111,15 @@ func (op *colDistinctOp) next() (*colBatch, error) {
 
 // --- Limit -------------------------------------------------------------------
 
-// colLimitOp replicates limitOp's offset/limit/drain semantics over live
-// row counts.
+// colLimitOp skips the first offset live rows, then truncates the stream
+// to limit rows (limit < 0 means unlimited — an OFFSET-only modifier). By
+// default the child is still drained to exhaustion after the limit is
+// reached: the materializing engine computes everything before
+// truncating, and measured Cout/Work/Scanned must stay bit-identical
+// between the two engines. With Options.EarlyStop the drain is skipped
+// and the pipeline terminates as soon as the limit is reached (the
+// serving-mode default); rows are unchanged, accounting reflects only the
+// work actually done.
 type colLimitOp struct {
 	child     colOperator
 	limit     int
@@ -1189,19 +1180,26 @@ func (op *colLimitOp) next() (*colBatch, error) {
 
 // --- Parallel pipeline operator ----------------------------------------------
 
-// colParallelOp is the columnar twin of parallelOp: the same precompiled
-// pipeline stages and morsel split, with columnar per-morsel chains whose
-// outputs merge column-wise in morsel order.
+// colParallelOp executes a parallelism-eligible pipeline morsel by morsel:
+// the precompiled stages are instantiated as a columnar chain per morsel,
+// and the per-morsel outputs merge column-wise in morsel order. It is a
+// pipeline breaker from the scheduling standpoint — output is fully
+// buffered before the first batch is emitted — but rows, order and
+// accounting are bit-identical to the serial chain (see the determinism
+// argument in parallel.go).
 type colParallelOp struct {
 	ex     *executor
 	source *plan.CompiledPattern
 	stages []pipeStage
 	nparts int
-	ran    bool
-	out    *colRelation
-	pos    int
+	buf    colBuffer
 }
 
+// newColParallelOp precompiles the pipeline rooted at top. When the source
+// range is too small to split it falls back to the serial operator chain —
+// same rows, same accounting, no coordination overhead. Compile errors
+// (e.g. a filter naming an unbound variable) surface here, exactly where
+// the serial build would raise them.
 func (ex *executor) newColParallelOp(top *plan.PhysNode) (colOperator, error) {
 	src := top.ParallelSource.Leaf
 	stages, err := compilePipeline(top)
@@ -1238,30 +1236,17 @@ func buildColMorselChain(wex *executor, stages []pipeStage, cursor *store.Scan) 
 func (op *colParallelOp) vars() []sparql.Var { return op.stages[len(op.stages)-1].outVars }
 
 func (op *colParallelOp) next() (*colBatch, error) {
-	if !op.ran {
-		op.ran = true
-		if err := op.run(); err != nil {
-			return nil, err
-		}
-	}
-	if op.out == nil || op.pos >= op.out.n {
-		return nil, nil
-	}
-	end := op.pos + streamBatch
-	if end > op.out.n {
-		end = op.out.n
-	}
-	b := op.out.window(op.pos, end)
-	op.pos = end
-	op.ex.kern.Batches++
-	return b, nil
+	return op.buf.next(op.ex, op.run)
 }
 
-func (op *colParallelOp) run() error {
+// run fans the source morsels across the worker pool and merges per-morsel
+// outputs and counters in morsel order.
+func (op *colParallelOp) run() (*colRelation, error) {
 	ex := op.ex
+	merged := &colRelation{vars: op.vars(), cols: make([][]dict.ID, len(op.vars()))}
 	parts := ex.st.ScanPartitions(op.source.Pat, op.nparts)
 	if parts == nil {
-		return nil
+		return merged, nil
 	}
 	outs := make([]*colRelation, len(parts))
 	counters := make([]execCounters, len(parts))
@@ -1277,16 +1262,14 @@ func (op *colParallelOp) run() error {
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ex.mergeMorsels(counters, workers)
-	merged := &colRelation{vars: op.vars(), cols: make([][]dict.ID, len(op.vars()))}
 	for _, o := range outs {
 		for j := range merged.cols {
 			merged.cols[j] = append(merged.cols[j], o.cols[j]...)
 		}
 		merged.n += o.n
 	}
-	op.out = merged
-	return nil
+	return merged, nil
 }

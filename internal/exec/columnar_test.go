@@ -11,25 +11,11 @@ import (
 	"repro/internal/store"
 )
 
-// assertBitIdentical checks the columnar acceptance surface: same Vars,
-// Rows in the same order, and the same Cout/Work/Scanned accounting.
-func assertBitIdentical(t *testing.T, label string, got, want *Result) {
-	t.Helper()
-	if !reflect.DeepEqual(got.Vars, want.Vars) {
-		t.Fatalf("%s: vars %v, want %v", label, got.Vars, want.Vars)
-	}
-	if !reflect.DeepEqual(got.Rows, want.Rows) {
-		t.Fatalf("%s: %d rows, want %d (or order differs)", label, len(got.Rows), len(want.Rows))
-	}
-	if got.Cout != want.Cout || got.Work != want.Work || got.Scanned != want.Scanned {
-		t.Fatalf("%s: accounting (cout=%v work=%v scanned=%d), want (cout=%v work=%v scanned=%d)",
-			label, got.Cout, got.Work, got.Scanned, want.Cout, want.Work, want.Scanned)
-	}
-}
-
-// TestColumnarMatchesStreaming: over a spread of query shapes, the
-// columnar engine is bit-identical to streaming — serially and at
-// Parallelism 2 and 8 with single-triple morsels.
+// TestColumnarMatchesStreaming: on the social store, the columnar engine
+// reproduces the serial pipelined run (the engine the "streaming" name now
+// selects) bit-for-bit at Parallelism 2 and 8 with single-triple morsels,
+// for both join algorithms, and that serial run matches the materializing
+// reference.
 func TestColumnarMatchesStreaming(t *testing.T) {
 	st := buildSocialStore(t)
 	queries := []string{
@@ -43,18 +29,18 @@ func TestColumnarMatchesStreaming(t *testing.T) {
 	for qi, src := range queries {
 		for _, alg := range []JoinAlgorithm{HashJoin, SortMergeJoin} {
 			want := run(t, st, src, Options{Join: alg})
-			got := run(t, st, src, Options{Join: alg, Mode: Columnar})
-			assertBitIdentical(t, fmt.Sprintf("q%d alg%d columnar", qi, alg), got, want)
+			ref := run(t, st, src, Options{Join: alg, Mode: Materializing})
+			assertResultsIdentical(t, fmt.Sprintf("q%d alg%d serial vs materializing", qi, alg), want, ref)
 			for _, par := range []int{2, 8} {
 				pg := run(t, st, src, Options{Join: alg, Mode: Columnar, Parallelism: par, MorselSize: 1})
-				assertBitIdentical(t, fmt.Sprintf("q%d alg%d columnar-p%d", qi, alg, par), pg, want)
+				assertResultsIdentical(t, fmt.Sprintf("q%d alg%d columnar-p%d", qi, alg, par), pg, want)
 			}
 		}
 	}
 }
 
 // TestColumnarKernelStats: the columnar run reports its kernel counters
-// while the row engines leave them zero.
+// while the materializing engine leaves them zero.
 func TestColumnarKernelStats(t *testing.T) {
 	st := buildSocialStore(t)
 	src := `SELECT * WHERE { ?s <http://x/age> ?x . FILTER(?x > 18) }`
@@ -62,9 +48,9 @@ func TestColumnarKernelStats(t *testing.T) {
 	if c.Kernels.Batches == 0 || c.Kernels.FilterRows == 0 {
 		t.Fatalf("columnar kernels not counted: %+v", c.Kernels)
 	}
-	s := run(t, st, src, Options{})
-	if s.Kernels != (KernelStats{}) {
-		t.Fatalf("streaming run reports columnar kernels: %+v", s.Kernels)
+	m := run(t, st, src, Options{Mode: Materializing})
+	if m.Kernels != (KernelStats{}) {
+		t.Fatalf("materializing run reports columnar kernels: %+v", m.Kernels)
 	}
 }
 
@@ -152,7 +138,7 @@ func TestLeapfrogParallelIdentical(t *testing.T) {
 	for _, par := range []int{2, 8} {
 		for _, ms := range []int{1, 16} {
 			got := run(t, st, starSrc, Options{Mode: Columnar, Leapfrog: true, Parallelism: par, MorselSize: ms})
-			assertBitIdentical(t, fmt.Sprintf("leapfrog-p%d-m%d", par, ms), got, serial)
+			assertResultsIdentical(t, fmt.Sprintf("leapfrog-p%d-m%d", par, ms), got, serial)
 			if par > 1 && ms == 1 && got.Morsels < 2 {
 				t.Fatalf("p%d m%d: %d morsels, leapfrog did not parallelize", par, ms, got.Morsels)
 			}
@@ -178,22 +164,19 @@ func TestLeapfrogEpilogue(t *testing.T) {
 	}
 }
 
-// TestLeapfrogOptionIgnoredOutsideColumnar: the row engines never lower
-// to the multiway operator even when the option is set.
+// TestLeapfrogOptionIgnoredOutsideColumnar: the materializing engine
+// never lowers to the multiway operator even when the option is set.
 func TestLeapfrogOptionIgnoredOutsideColumnar(t *testing.T) {
-	for _, mode := range []ExecMode{Streaming, Materializing} {
-		po := PhysOptions(Options{Mode: mode, Leapfrog: true})
-		if po.Leapfrog {
-			t.Fatalf("mode %d: Leapfrog passed through to the physical planner", mode)
-		}
+	if PhysOptions(Options{Mode: Materializing, Leapfrog: true}).Leapfrog {
+		t.Fatal("materializing mode passed Leapfrog through to the physical planner")
 	}
 	if !PhysOptions(Options{Mode: Columnar, Leapfrog: true}).Leapfrog {
 		t.Fatal("columnar mode must pass Leapfrog through")
 	}
 	st := buildStarStore(t, 20, 3)
-	res := run(t, st, starSrc, Options{Leapfrog: true}) // streaming
+	res := run(t, st, starSrc, Options{Mode: Materializing, Leapfrog: true})
 	if res.Kernels.LeapfrogRows != 0 {
-		t.Fatalf("streaming run executed the leapfrog operator: %+v", res.Kernels)
+		t.Fatalf("materializing run executed the leapfrog operator: %+v", res.Kernels)
 	}
 }
 
@@ -232,9 +215,9 @@ func TestColumnarProbeScratchReuse(t *testing.T) {
 	}
 	ov := d.Overlay()
 	src := `SELECT * WHERE { ?h <http://x/p1> ?a . ?h <http://x/p2> ?b . }`
-	want := run(t, ov, src, Options{})
+	want := run(t, ov, src, Options{Mode: Materializing})
 	got := run(t, ov, src, Options{Mode: Columnar})
-	assertBitIdentical(t, "overlay columnar", got, want)
+	assertResultsIdentical(t, "overlay columnar", got, want)
 	if got.Kernels.Batches == 0 {
 		t.Fatal("columnar path did not run")
 	}

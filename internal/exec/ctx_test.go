@@ -88,7 +88,7 @@ func TestRunCtxCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, mode := range []ExecMode{Streaming, Materializing} {
+	for _, mode := range []ExecMode{Columnar, Materializing} {
 		if _, err := RunCtx(ctx, c, p, st, Options{Mode: mode}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("mode %d: want context.Canceled, got %v", mode, err)
 		}

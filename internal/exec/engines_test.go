@@ -50,8 +50,8 @@ func assertResultsIdentical(t *testing.T, label string, a, b *Result) {
 
 // equivalenceQueries covers every operator: scans, INL chains and stars,
 // leaf-leaf probes, cross products, repeated variables, missing patterns,
-// filters (single- and multi-variable), ORDER BY, projection, DISTINCT and
-// LIMIT.
+// filters (single- and multi-variable), ORDER BY, projection, DISTINCT,
+// LIMIT and OFFSET.
 var equivalenceQueries = []string{
 	`SELECT * WHERE { ?s <http://x/knows> ?o . }`,
 	`SELECT * WHERE { ?s ?p ?o . }`,
@@ -70,6 +70,10 @@ var equivalenceQueries = []string{
 	`SELECT ?p WHERE { ?p <http://x/knows> ?f . ?p <http://x/age> ?a . ?post <http://x/creator> ?f . } ORDER BY ?p`,
 	`SELECT * WHERE { ?a <http://x/knows> ?b . ?b <http://x/knows> ?c . }`,
 	`SELECT DISTINCT ?f WHERE { ?p <http://x/knows> ?f . } ORDER BY ?f LIMIT 2`,
+	`SELECT * WHERE { ?a <http://x/knows> ?b . ?b <http://x/age> ?x . }`,
+	`SELECT ?p ?d WHERE { ?p <http://x/creator> ?c . ?p <http://x/date> ?d . ?c <http://x/age> ?x . FILTER(?x > 18) } ORDER BY ?d`,
+	`SELECT * WHERE { ?a <http://x/knows> ?b . ?c <http://x/age> ?x . } LIMIT 4 OFFSET 1`,
+	`SELECT * WHERE { ?s <http://x/age> ?x . FILTER(?x >= 30) FILTER(?x < 45) }`,
 }
 
 func buildStreamStore(t testing.TB) *store.Store {
@@ -98,20 +102,28 @@ func buildStreamStore(t testing.TB) *store.Store {
 	return b.Build()
 }
 
+// TestStreamingMatchesMaterializing: over the equivalence corpus, the
+// pipelined columnar engine is bit-identical to the materializing
+// reference — serially and at Parallelism 2 and 8 — for both interior-join
+// algorithms.
 func TestStreamingMatchesMaterializing(t *testing.T) {
 	st := buildStreamStore(t)
 	for _, src := range equivalenceQueries {
 		q := sparql.MustParse(src)
 		for _, alg := range []JoinAlgorithm{HashJoin, SortMergeJoin} {
-			sres, _, err := Query(q, st, Options{Join: alg, Mode: Streaming})
-			if err != nil {
-				t.Fatalf("streaming %s: %v", src, err)
-			}
 			mres, _, err := Query(q, st, Options{Join: alg, Mode: Materializing})
 			if err != nil {
 				t.Fatalf("materializing %s: %v", src, err)
 			}
-			assertResultsIdentical(t, fmt.Sprintf("%s (alg %d)", src, alg), sres, mres)
+			// Single-triple morsels make even this tiny store split.
+			for _, par := range []int{1, 2, 8} {
+				opts := Options{Join: alg, Parallelism: par, MorselSize: 1}
+				cres, _, err := Query(q, st, opts)
+				if err != nil {
+					t.Fatalf("columnar %s: %v", src, err)
+				}
+				assertResultsIdentical(t, fmt.Sprintf("%s (alg %d, parallelism %d)", src, alg, par), cres, mres)
+			}
 		}
 	}
 }
@@ -142,21 +154,21 @@ func TestStreamingMatchesMaterializingLarge(t *testing.T) {
 	for _, src := range queries {
 		q := sparql.MustParse(src)
 		for _, alg := range []JoinAlgorithm{HashJoin, SortMergeJoin} {
-			sres, _, err := Query(q, st, Options{Join: alg, Mode: Streaming})
+			cres, _, err := Query(q, st, Options{Join: alg})
 			if err != nil {
-				t.Fatalf("streaming %s: %v", src, err)
+				t.Fatalf("columnar %s: %v", src, err)
 			}
 			mres, _, err := Query(q, st, Options{Join: alg, Mode: Materializing})
 			if err != nil {
 				t.Fatalf("materializing %s: %v", src, err)
 			}
-			assertResultsIdentical(t, src, sres, mres)
+			assertResultsIdentical(t, src, cres, mres)
 		}
 	}
 }
 
-// TestStreamingErrorPaths: the streaming engine must reject the same
-// malformed queries as the materializing one.
+// TestStreamingErrorPaths: both engines reject the same malformed queries,
+// with and without filter pushdown.
 func TestStreamingErrorPaths(t *testing.T) {
 	st := buildStreamStore(t)
 	bad := []string{
@@ -165,10 +177,9 @@ func TestStreamingErrorPaths(t *testing.T) {
 		`SELECT * WHERE { ?s <http://x/age> ?a . } ORDER BY ?nope`,
 	}
 	for _, src := range bad {
-		for _, push := range []bool{false, true} {
-			opts := Options{Mode: Streaming, PushFilters: push}
+		for _, opts := range []Options{{}, {PushFilters: true}, {Mode: Materializing}} {
 			if _, _, err := Query(sparql.MustParse(src), st, opts); err == nil {
-				t.Errorf("expected error for %q (push=%v)", src, push)
+				t.Errorf("expected error for %q (%+v)", src, opts)
 			}
 		}
 	}
@@ -181,8 +192,8 @@ func TestLimitStillDrains(t *testing.T) {
 	st := buildStreamStore(t)
 	base := `SELECT ?post WHERE { ?p <http://x/knows> ?f . ?post <http://x/creator> ?f . }`
 	limited := base + ` LIMIT 1`
-	full := run(t, st, base, Options{Mode: Streaming})
-	lim := run(t, st, limited, Options{Mode: Streaming})
+	full := run(t, st, base, Options{})
+	lim := run(t, st, limited, Options{})
 	if len(lim.Rows) != 1 {
 		t.Fatalf("limited rows = %d", len(lim.Rows))
 	}
@@ -204,8 +215,8 @@ func TestPushFiltersPrunesEarly(t *testing.T) {
   FILTER(?a >= 18)
   FILTER(?p != <http://x/bob>)
 }`
-	baseline := run(t, st, src, Options{Mode: Streaming})
-	pushed := run(t, st, src, Options{Mode: Streaming, PushFilters: true})
+	baseline := run(t, st, src, Options{})
+	pushed := run(t, st, src, Options{PushFilters: true})
 	bs, ps := rowsAsStrings(st, baseline), rowsAsStrings(st, pushed)
 	if len(bs) != len(ps) {
 		t.Fatalf("pushdown changed results: %d vs %d rows", len(bs), len(ps))
@@ -229,11 +240,11 @@ func TestPushFiltersEquivalenceCorpus(t *testing.T) {
 	st := buildStreamStore(t)
 	for _, src := range equivalenceQueries {
 		q := sparql.MustParse(src)
-		plain, _, err := Query(q, st, Options{Mode: Streaming})
+		plain, _, err := Query(q, st, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pushed, _, err := Query(q, st, Options{Mode: Streaming, PushFilters: true})
+		pushed, _, err := Query(q, st, Options{PushFilters: true})
 		if err != nil {
 			t.Fatalf("pushed %s: %v", src, err)
 		}
@@ -260,21 +271,37 @@ func compilePattern(t *testing.T, st *store.Store, src string) (*plan.Compiled, 
 	return c, &c.Patterns[0]
 }
 
-func drainOp(t *testing.T, op operator) [][]dict.ID {
+// drainOp pulls a columnar operator to exhaustion, gathering its live rows.
+func drainOp(t *testing.T, op colOperator) [][]dict.ID {
 	t.Helper()
 	var out [][]dict.ID
 	for {
-		batch, err := op.next()
+		b, err := op.next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch == nil {
+		if b == nil {
 			return out
 		}
-		if len(batch) == 0 {
+		if b.live() == 0 {
 			t.Fatal("operator emitted an empty batch")
 		}
-		out = append(out, batch...)
+		emit := func(r int) {
+			row := make([]dict.ID, len(b.cols))
+			for j := range b.cols {
+				row[j] = b.cols[j][r]
+			}
+			out = append(out, row)
+		}
+		if b.sel != nil {
+			for _, r := range b.sel {
+				emit(int(r))
+			}
+			continue
+		}
+		for r := 0; r < b.n; r++ {
+			emit(r)
+		}
 	}
 }
 
@@ -282,7 +309,7 @@ func TestScanOpUnit(t *testing.T) {
 	st := buildStreamStore(t)
 	ex := &executor{st: st}
 	_, cp := compilePattern(t, st, `SELECT * WHERE { ?s <http://x/knows> ?o . }`)
-	op := newScanOp(ex, cp)
+	op := newColScanOp(ex, cp)
 	if len(op.vars()) != 2 {
 		t.Fatalf("vars = %v", op.vars())
 	}
@@ -303,7 +330,7 @@ func TestScanOpRepeatedVar(t *testing.T) {
 	st := buildStreamStore(t)
 	ex := &executor{st: st}
 	_, cp := compilePattern(t, st, `SELECT * WHERE { ?x <http://x/p> ?x . }`)
-	op := newScanOp(ex, cp)
+	op := newColScanOp(ex, cp)
 	rows := drainOp(t, op)
 	if len(rows) != 1 {
 		t.Fatalf("self-loop rows = %d, want 1", len(rows))
@@ -320,7 +347,7 @@ func TestScanOpMissing(t *testing.T) {
 	if !cp.Missing {
 		t.Fatal("pattern should be missing")
 	}
-	op := newScanOp(ex, cp)
+	op := newColScanOp(ex, cp)
 	if rows := drainOp(t, op); len(rows) != 0 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -336,8 +363,8 @@ func TestProbeOpUnit(t *testing.T) {
   <http://x/alice> <http://x/knows> ?f .
   ?f <http://x/age> ?a .
 }`)
-	outer := newScanOp(ex, &c.Patterns[0])
-	probe := newProbeOp(ex, outer, &c.Patterns[1])
+	outer := newColScanOp(ex, &c.Patterns[0])
+	probe := &colProbeOp{ex: ex, child: outer, plan: buildProbePlan(outer.vars(), &c.Patterns[1])}
 	wantVars := []sparql.Var{"f", "a"}
 	got := probe.vars()
 	if len(got) != len(wantVars) || got[0] != wantVars[0] || got[1] != wantVars[1] {
@@ -360,9 +387,9 @@ func TestJoinOpUnit(t *testing.T) {
 }`)
 	for _, kind := range []plan.PhysOp{plan.PhysHashJoin, plan.PhysMergeJoin} {
 		ex := &executor{st: st}
-		l := newScanOp(ex, &c.Patterns[0])
-		r := newScanOp(ex, &c.Patterns[1])
-		j := &joinOp{ex: ex, op: kind, left: l, right: r}
+		l := newColScanOp(ex, &c.Patterns[0])
+		r := newColScanOp(ex, &c.Patterns[1])
+		j := &colJoinOp{ex: ex, op: kind, left: l, right: r}
 		rows := drainOp(t, j)
 		// knows has 3 edges; join on ?f: bob(1×1) + carol(2×2) = 5.
 		if len(rows) != 5 {
@@ -393,7 +420,7 @@ func TestDistinctOpAcrossBatches(t *testing.T) {
 		}
 	}
 	st := b.Build()
-	res := run(t, st, `SELECT DISTINCT ?o WHERE { ?s <http://x/p0> ?o . }`, Options{Mode: Streaming})
+	res := run(t, st, `SELECT DISTINCT ?o WHERE { ?s <http://x/p0> ?o . }`, Options{})
 	if len(res.Rows) != 7 {
 		t.Fatalf("distinct rows = %d, want 7", len(res.Rows))
 	}

@@ -1,15 +1,19 @@
 // Package exec evaluates optimized query plans against a store, through
 // two engines that produce bit-identical results:
 //
-//   - The streaming engine (default) lowers the logical plan to a physical
-//     operator tree (plan.Lower) and pulls batches through iterator-style
-//     operators: index scans stream straight out of the hexastore,
-//     index-nested-loop probes and filters are fully pipelined, and only
-//     the inherently blocking operators (hash/merge/cross joins, ORDER BY)
-//     buffer their inputs.
-//   - The materializing engine (Options.Mode = Materializing) computes
-//     every join's complete output, as the original executor did; it is
-//     kept as the golden reference for equality testing.
+//   - The columnar engine (the default, Options.Mode's zero value) lowers
+//     the logical plan to a physical operator tree (plan.Lower) and pulls
+//     dense per-variable column batches through it: index scans stream
+//     straight out of the hexastore, index-nested-loop probes and filters
+//     are fully pipelined (and morsel-parallel under Options.Parallelism),
+//     and only the inherently blocking operators (hash/merge/cross and
+//     left outer joins, ORDER BY, aggregation) buffer their inputs.
+//   - The materializing engine (Options.Mode = Materializing) evaluates
+//     the logical join tree — and the OPTIONAL/UNION/aggregate algebra
+//     around it — bottom-up with every intermediate result fully
+//     materialized, as the original executor did. It is the frozen paper
+//     baseline and the independent oracle the columnar engine is tested
+//     against.
 //
 // Both engines record the measured Cout of the execution exactly (the
 // sizes of all join outputs) and accumulate a deterministic "work" counter
@@ -45,19 +49,16 @@ const (
 type ExecMode uint8
 
 const (
-	// Streaming executes the lowered physical plan with batch-pull
-	// iterator operators (default).
-	Streaming ExecMode = iota
+	// Columnar executes the lowered physical plan with batch-pull
+	// operators over dense per-variable column batches with optional
+	// selection vectors (default). It additionally unlocks
+	// Options.Leapfrog.
+	Columnar ExecMode = iota
 	// Materializing computes every join's complete output before moving
-	// on — the original engine, kept as the golden reference.
+	// on — the original engine, kept as the golden reference. Rows, row
+	// order, Cout, Work and Scanned are bit-identical to Columnar at every
+	// Parallelism with EarlyStop off.
 	Materializing
-	// Columnar executes the same lowered physical plan as Streaming, but
-	// moves data through dense per-variable column batches with optional
-	// selection vectors instead of row slices. Every per-tuple accounting
-	// rule is identical to the streaming operators', so Rows, row order,
-	// Cout, Work and Scanned are bit-identical to Streaming at every
-	// Parallelism. Columnar additionally unlocks Options.Leapfrog.
-	Columnar
 )
 
 // Options configures execution.
@@ -65,12 +66,12 @@ type Options struct {
 	Join JoinAlgorithm
 	Mode ExecMode
 	// PushFilters evaluates single-variable filters at the lowest operator
-	// whose schema covers them (streaming engine only). It prunes
+	// whose schema covers them (columnar engine only). It prunes
 	// intermediate results early, so measured Cout shrinks and is no
 	// longer comparable to the unpushed plans; final rows are unchanged.
 	// Off by default to keep the paper's cost accounting exact.
 	PushFilters bool
-	// EarlyStop lets LIMIT terminate the streaming pipeline as soon as the
+	// EarlyStop lets LIMIT terminate the columnar pipeline as soon as the
 	// limit is reached instead of draining its input to exhaustion. Final
 	// rows are unchanged, but the Cout/Work/Scanned accounting reflects
 	// only the tuples actually touched, so it is no longer comparable to
@@ -99,9 +100,9 @@ type Options struct {
 	// the parallel path; the choice never affects results or accounting.
 	MorselSize int
 	// Leapfrog enables the worst-case-optimal leapfrog triejoin for
-	// eligible star/cyclic BGPs (see plan.PhysOptions.Leapfrog). Only
-	// consulted in Columnar mode — the row engines keep their binary join
-	// trees. A leapfrog run emits rows in global trie order and counts only
+	// eligible star/cyclic BGPs (see plan.PhysOptions.Leapfrog). Ignored by
+	// the materializing engine, which keeps its binary join trees. A
+	// leapfrog run emits rows in global trie order and counts only
 	// the multiway join's final output toward Cout, so its results equal
 	// the binary plans' as multisets (asserted by the differential suite)
 	// but are excluded from the bit-identical golden matrix.
@@ -127,6 +128,23 @@ type Options struct {
 	Trace obs.Collector
 }
 
+// PhysOptions returns the lowering options the columnar engine uses for
+// opts — the single place Options maps onto plan.PhysOptions, shared with
+// EXPLAIN-style tooling so the printed physical plan is the executed one.
+func PhysOptions(opts Options) plan.PhysOptions {
+	physJoin := plan.PhysJoinHash
+	if opts.Join == SortMergeJoin {
+		physJoin = plan.PhysJoinMerge
+	}
+	return plan.PhysOptions{
+		Join:        physJoin,
+		PushFilters: opts.PushFilters,
+		// The leapfrog multiway join is a columnar operator; the
+		// materializing engine keeps its binary join trees.
+		Leapfrog: opts.Leapfrog && opts.Mode == Columnar,
+	}
+}
+
 // Result is the outcome of one query execution.
 type Result struct {
 	Vars     []sparql.Var  // output column schema
@@ -147,15 +165,17 @@ type Result struct {
 	Workers int
 	// Kernels counts columnar/leapfrog kernel activity. Like Morsels and
 	// Workers it describes how the engine ran, not what it computed, and is
-	// excluded from the bit-identical golden comparison (the row engines
-	// report all zeros; LeapfrogSeeks additionally depends on partitioning).
+	// excluded from the bit-identical golden comparison (the materializing
+	// engine reports zeros for the columnar and leapfrog counters;
+	// LeapfrogSeeks additionally depends on partitioning).
 	Kernels KernelStats
 }
 
 // KernelStats counts the work done by the columnar and leapfrog kernels,
 // plus the compositional-algebra operator counters (LeftJoinRows,
 // UnionRows, AggGroups), which are engine-independent logical counts —
-// the row and columnar engines report identical values for them.
+// the materializing and columnar engines report identical values for
+// them.
 type KernelStats struct {
 	Batches       int // column batches emitted by columnar operators
 	FilterRows    int // rows evaluated by the columnar filter kernel
@@ -189,15 +209,6 @@ type relation struct {
 	rows [][]dict.ID
 }
 
-func (r *relation) colIndex(v sparql.Var) int {
-	for i, x := range r.vars {
-		if x == v {
-			return i
-		}
-	}
-	return -1
-}
-
 // executor carries per-run state.
 type executor struct {
 	st      store.Source
@@ -221,7 +232,7 @@ type executor struct {
 // cancelled returns the context's error once the run's context is done.
 // Operators check it per batch, and the blocking join/sort kernels check
 // it every cancelCheckRows tuples, so a dropped client aborts both a
-// streaming pull and a pipeline breaker mid-build within bounded work.
+// pipelined pull and a pipeline breaker mid-build within bounded work.
 func (ex *executor) cancelled() error {
 	if ex.ctx == nil {
 		return nil
@@ -266,13 +277,10 @@ func RunCtx(ctx context.Context, c *plan.Compiled, p *plan.Plan, st store.Source
 	}
 	var rel *relation
 	var err error
-	switch opts.Mode {
-	case Materializing:
+	if opts.Mode == Materializing {
 		rel, err = ex.runMaterializing(c, p)
-	case Columnar:
+	} else {
 		rel, err = ex.runColumnar(c, p)
-	default:
-		rel, err = ex.runStreaming(c, p)
 	}
 	if err != nil {
 		return nil, err
@@ -295,20 +303,28 @@ func RunCtx(ctx context.Context, c *plan.Compiled, p *plan.Plan, st store.Source
 
 // runMaterializing is the original engine: evaluate the logical join tree
 // bottom-up with full intermediate materialization, then apply filters and
-// the ORDER BY / projection / DISTINCT / LIMIT epilogue.
+// the ORDER BY / projection / DISTINCT / LIMIT epilogue. Algebra queries
+// evaluate the algebra tree instead (group filters applied where their
+// group ends) and aggregate before the epilogue.
 func (ex *executor) runMaterializing(c *plan.Compiled, p *plan.Plan) (*relation, error) {
-	if c.Alg != nil || p.Alg != nil || c.Query.HasAlgebra() {
-		return nil, ErrUnsupportedConstruct
+	q := c.Query
+	var rel *relation
+	var err error
+	if p.Alg != nil {
+		rel, err = ex.evalAlg(p.Alg)
+		if err == nil {
+			rel, err = ex.aggregate(rel, q)
+		}
+	} else {
+		rel, err = ex.eval(p.Root)
+		if err == nil {
+			rel, err = ex.applyFilters(rel, q.Filters)
+		}
 	}
-	rel, err := ex.eval(p.Root)
 	if err != nil {
 		return nil, err
 	}
-	rel, err = ex.applyFilters(rel, c.Query.Filters)
-	if err != nil {
-		return nil, err
-	}
-	return ex.finish(rel, c.Query)
+	return ex.finish(rel, q)
 }
 
 func (ex *executor) eval(n *plan.Node) (*relation, error) {
@@ -375,7 +391,7 @@ func (ex *executor) evalJoin(n *plan.Node) (*relation, error) {
 // triple pattern via index nested loops: per outer row, the shared
 // variables are bound into the pattern and the store is probed. When no
 // variable is shared (a cross product) it falls back to materializing the
-// leaf. The probe plumbing (buildProbePlan) is shared with the streaming
+// leaf. The probe plumbing (buildProbePlan) is shared with the columnar
 // probe operator.
 func (ex *executor) joinWithLeaf(outer *relation, leaf *plan.CompiledPattern) (*relation, error) {
 	pp := buildProbePlan(outer.vars, leaf)
@@ -410,7 +426,7 @@ func (ex *executor) joinWithLeaf(outer *relation, leaf *plan.CompiledPattern) (*
 
 // scanLeaf materializes a triple-pattern scan into a relation over the
 // pattern's variables. Repeated variables (e.g. ?x ?p ?x) are enforced by
-// the extraction plan shared with the streaming scan operator.
+// the extraction plan shared with the columnar scan operator.
 func (ex *executor) scanLeaf(cp *plan.CompiledPattern) *relation {
 	rel := &relation{vars: cp.Vars()}
 	if cp.Missing {
@@ -434,7 +450,7 @@ func (ex *executor) scanLeaf(cp *plan.CompiledPattern) *relation {
 // join dispatches to the configured join algorithm; inputs with no shared
 // variables produce a cross product (nested loop).
 func (ex *executor) join(l, r *relation) (*relation, error) {
-	shared := sharedCols(l, r)
+	shared := sharedCols(l.vars, r.vars)
 	if len(shared) == 0 {
 		return ex.crossProduct(l, r)
 	}
@@ -448,10 +464,10 @@ func (ex *executor) join(l, r *relation) (*relation, error) {
 
 // sharedCols returns pairs (leftCol, rightCol) of columns bound to the same
 // variable.
-func sharedCols(l, r *relation) [][2]int {
+func sharedCols(lvars, rvars []sparql.Var) [][2]int {
 	var out [][2]int
-	for li, v := range l.vars {
-		if ri := r.colIndex(v); ri >= 0 {
+	for li, v := range lvars {
+		if ri := varIndexOf(rvars, v); ri >= 0 {
 			out = append(out, [2]int{li, ri})
 		}
 	}
@@ -460,10 +476,10 @@ func sharedCols(l, r *relation) [][2]int {
 
 // outputSchema builds the joined schema: all left vars, then right vars not
 // already present, with a column-copy map for right rows.
-func outputSchema(l, r *relation) (vars []sparql.Var, rightCopy []int) {
-	vars = append(vars, l.vars...)
-	for ri, v := range r.vars {
-		if l.colIndex(v) < 0 {
+func outputSchema(lvars, rvars []sparql.Var) (vars []sparql.Var, rightCopy []int) {
+	vars = append(vars, lvars...)
+	for ri, v := range rvars {
+		if varIndexOf(lvars, v) < 0 {
 			vars = append(vars, v)
 			rightCopy = append(rightCopy, ri)
 		}
@@ -570,10 +586,10 @@ func (ex *executor) hashJoin(l, r *relation, shared [][2]int) (*relation, error)
 func schemaFor(build, probe *relation, swapped bool) ([]sparql.Var, []int) {
 	if swapped {
 		// original left = probe, original right = build
-		vars, copyIdx := outputSchema(probe, build)
+		vars, copyIdx := outputSchema(probe.vars, build.vars)
 		return vars, copyIdx
 	}
-	vars, copyIdx := outputSchema(build, probe)
+	vars, copyIdx := outputSchema(build.vars, probe.vars)
 	return vars, copyIdx
 }
 
@@ -628,7 +644,7 @@ func (ex *executor) mergeJoin(l, r *relation, shared [][2]int) (out *relation, e
 	sort.Slice(lrows, ex.lessWithCancel(func(i, j int) bool { return cmp(lk(lrows[i]), lk(lrows[j])) < 0 }))
 	sort.Slice(rrows, ex.lessWithCancel(func(i, j int) bool { return cmp(rk(rrows[i]), rk(rrows[j])) < 0 }))
 	ex.work += float64(len(lrows) + len(rrows)) // sort pass (linear proxy)
-	vars, rightCopy := outputSchema(l, r)
+	vars, rightCopy := outputSchema(l.vars, r.vars)
 	out = &relation{vars: vars}
 	steps := 0
 	i, j := 0, 0
@@ -674,7 +690,7 @@ func (ex *executor) mergeJoin(l, r *relation, shared [][2]int) (out *relation, e
 }
 
 func (ex *executor) crossProduct(l, r *relation) (*relation, error) {
-	vars, rightCopy := outputSchema(l, r)
+	vars, rightCopy := outputSchema(l.vars, r.vars)
 	out := &relation{vars: vars}
 	steps := 0
 	for _, lrow := range l.rows {

@@ -325,11 +325,11 @@ func TestAgainstNaiveOracle(t *testing.T) {
 		q := sparql.MustParse(src)
 		want := naiveEval(st, q)
 		for _, opts := range []Options{
-			{Join: HashJoin, Mode: Streaming},
-			{Join: SortMergeJoin, Mode: Streaming},
+			{Join: HashJoin, Mode: Columnar},
+			{Join: SortMergeJoin, Mode: Columnar},
 			{Join: HashJoin, Mode: Materializing},
 			{Join: SortMergeJoin, Mode: Materializing},
-			{Join: HashJoin, Mode: Streaming, PushFilters: true},
+			{Join: HashJoin, Mode: Columnar, PushFilters: true},
 		} {
 			alg := opts.Join
 			res, _, err := Query(q, st, opts)

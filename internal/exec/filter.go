@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 
 	"repro/internal/dict"
@@ -177,7 +178,7 @@ func (ex *executor) finish(rel *relation, q *sparql.Query) (*relation, error) {
 	if len(q.Select) > 0 {
 		cols := make([]int, len(q.Select))
 		for i, v := range q.Select {
-			ci := rel.colIndex(v)
+			ci := varIndexOf(rel.vars, v)
 			if ci < 0 {
 				return nil, fmt.Errorf("exec: SELECT of unbound variable ?%s", v)
 			}
@@ -220,6 +221,43 @@ func (ex *executor) finish(rel *relation, q *sparql.Query) (*relation, error) {
 		rel = &relation{vars: rel.vars, rows: rel.rows[:limit]}
 	}
 	return rel, nil
+}
+
+// sortRowsByKeys stably sorts rel.rows by the ORDER BY keys for the
+// materializing finish step (the columnar Order operator sorts a
+// permutation with the same comparator). The sort
+// buffers the whole input, so the run's context is polled from inside the
+// comparator: a dropped client aborts mid-sort instead of waiting out a
+// huge ORDER BY.
+func sortRowsByKeys(ex *executor, rel *relation, keys []sparql.OrderKey) (err error) {
+	d := ex.st.Dict()
+	cols := make([]int, len(keys))
+	for i, k := range keys {
+		ci := varIndexOf(rel.vars, k.Var)
+		if ci < 0 {
+			return fmt.Errorf("exec: ORDER BY unbound variable ?%s", k.Var)
+		}
+		cols[i] = ci
+	}
+	defer recoverSortAbort(&err)
+	sort.SliceStable(rel.rows, ex.lessWithCancel(func(i, j int) bool {
+		for x, ci := range cols {
+			a, b := rel.rows[i][ci], rel.rows[j][ci]
+			if a == b {
+				continue
+			}
+			c := compareOrder(d, a, b)
+			if c == 0 {
+				continue
+			}
+			if keys[x].Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	}))
+	return nil
 }
 
 // appendRowKey encodes a row as a fixed-width byte key for DISTINCT

@@ -202,9 +202,7 @@ func (lf *leapfrog) search(parts []lfPart) (dict.ID, bool) {
 type leapfrogOp struct {
 	ex   *executor
 	node *plan.PhysNode
-	ran  bool
-	out  *colRelation
-	pos  int
+	buf  colBuffer
 }
 
 func newLeapfrogOp(ex *executor, n *plan.PhysNode) *leapfrogOp {
@@ -214,26 +212,10 @@ func newLeapfrogOp(ex *executor, n *plan.PhysNode) *leapfrogOp {
 func (op *leapfrogOp) vars() []sparql.Var { return op.node.Vars }
 
 func (op *leapfrogOp) next() (*colBatch, error) {
-	if !op.ran {
-		op.ran = true
-		if err := op.run(); err != nil {
-			return nil, err
-		}
-	}
-	if op.pos >= op.out.n {
-		return nil, nil
-	}
-	end := op.pos + streamBatch
-	if end > op.out.n {
-		end = op.out.n
-	}
-	b := op.out.window(op.pos, end)
-	op.pos = end
-	op.ex.kern.Batches++
-	return b, nil
+	return op.buf.next(op.ex, op.run)
 }
 
-func (op *leapfrogOp) run() error {
+func (op *leapfrogOp) run() (*colRelation, error) {
 	ex := op.ex
 	n := op.node
 	trieLevel := map[sparql.Var]int{}
@@ -247,7 +229,6 @@ func (op *leapfrogOp) run() error {
 	}
 	nlevels := len(n.TrieVars)
 	out := &colRelation{vars: n.Vars, cols: make([][]dict.ID, len(n.Vars))}
-	op.out = out
 
 	build := func(wex *executor, lo, hi dict.ID, bounded bool, dst *colRelation) *leapfrog {
 		byLevel := make([][]lfPart, nlevels)
@@ -296,7 +277,7 @@ func (op *leapfrogOp) run() error {
 			return nil
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ex.mergeMorsels(counters, workers)
 		for _, o := range outs {
@@ -308,11 +289,11 @@ func (op *leapfrogOp) run() error {
 	} else {
 		lf := build(ex, 0, 0, false, out)
 		if err := lf.run(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	ex.cout += float64(out.n)
-	return nil
+	return out, nil
 }
 
 // partitionBounds picks the level-0 boundary values a parallel run

@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sparql"
-	"repro/internal/store"
 )
 
 // This file implements morsel-driven intra-query parallelism (after Leis et
@@ -84,9 +83,8 @@ func (ex *executor) counters() execCounters {
 	return execCounters{cout: ex.cout, work: ex.work, scan: ex.scan, kern: ex.kern}
 }
 
-// mergeRowBuffers concatenates per-morsel output buffers in morsel order —
-// the one merge used by every parallel operator, so the order guarantee
-// cannot drift between them.
+// mergeRowBuffers concatenates per-morsel row buffers in morsel order (the
+// materializing hash join's parallel probe).
 func mergeRowBuffers(outs [][][]dict.ID) [][]dict.ID {
 	total := 0
 	for _, rows := range outs {
@@ -245,8 +243,9 @@ func recoverSortAbort(err *error) {
 
 // pipeStage is one precompiled operator of an eligible pipeline, bottom
 // (source scan) first. Everything here is immutable after construction and
-// shared read-only by all workers; per-morsel operator structs are thin
-// wrappers binding a stage to a worker executor and a morsel cursor.
+// shared read-only by all workers; per-morsel operators are thin wrappers
+// binding a stage to a worker executor and a morsel cursor
+// (buildColMorselChain).
 type pipeStage struct {
 	node    *plan.PhysNode
 	outVars []sparql.Var
@@ -254,39 +253,6 @@ type pipeStage struct {
 	probe   probePlan        // PhysIndexProbe
 	filters []compiledFilter // PhysFilter
 	cols    []int            // PhysProject
-}
-
-// parallelOp executes a parallelism-eligible pipeline morsel by morsel. It
-// is a pipeline breaker from the scheduling standpoint — output is fully
-// buffered before the first batch is emitted — but rows, order and
-// accounting are bit-identical to the serial streaming chain (see the
-// determinism argument at the top of this file).
-type parallelOp struct {
-	ex     *executor
-	source *plan.CompiledPattern
-	stages []pipeStage
-	nparts int // morsel count fixed at build time (deterministic)
-	ran    bool
-	rows   [][]dict.ID
-	pos    int
-}
-
-// newParallelOp precompiles the pipeline rooted at top. When the source
-// range is too small to split it falls back to the serial operator chain —
-// same rows, same accounting, no coordination overhead. Compile errors
-// (e.g. a filter naming an unbound variable) surface here, exactly where
-// the serial build would raise them.
-func (ex *executor) newParallelOp(top *plan.PhysNode) (operator, error) {
-	src := top.ParallelSource.Leaf
-	stages, err := compilePipeline(top)
-	if err != nil {
-		return nil, err
-	}
-	parts := ex.pipelineMorsels(src, len(stages))
-	if parts <= 1 {
-		return ex.buildNode(top)
-	}
-	return &parallelOp{ex: ex, source: src, stages: stages, nparts: parts}, nil
 }
 
 // pipelineMorsels decides how many morsels to split a pipeline's source
@@ -364,82 +330,4 @@ func compilePipeline(top *plan.PhysNode) ([]pipeStage, error) {
 		childVars = st.outVars
 	}
 	return stages, nil
-}
-
-// buildMorselChain instantiates the pipeline's operator chain for one
-// morsel: the shared precompiled stages bound to a worker executor and the
-// morsel's cursor.
-func buildMorselChain(wex *executor, stages []pipeStage, cursor *store.Scan) operator {
-	var op operator
-	for i := range stages {
-		st := &stages[i]
-		switch st.node.Op {
-		case plan.PhysIndexScan:
-			op = &scanOp{ex: wex, outVars: st.outVars, cursor: cursor, plan: st.scan}
-		case plan.PhysIndexProbe:
-			op = &probeOp{ex: wex, child: op, plan: st.probe}
-		case plan.PhysFilter:
-			op = &filterOp{ex: wex, child: op, filters: st.filters}
-		case plan.PhysProject:
-			op = &projectOp{child: op, outVars: st.outVars, cols: st.cols}
-		}
-	}
-	return op
-}
-
-func (op *parallelOp) vars() []sparql.Var { return op.stages[len(op.stages)-1].outVars }
-
-func (op *parallelOp) next() ([][]dict.ID, error) {
-	if !op.ran {
-		op.ran = true
-		if err := op.run(); err != nil {
-			return nil, err
-		}
-	}
-	if op.pos >= len(op.rows) {
-		return nil, nil
-	}
-	end := op.pos + streamBatch
-	if end > len(op.rows) {
-		end = len(op.rows)
-	}
-	batch := op.rows[op.pos:end]
-	op.pos = end
-	return batch, nil
-}
-
-// run fans the source morsels across the worker pool and merges per-morsel
-// outputs and counters in morsel order.
-func (op *parallelOp) run() error {
-	ex := op.ex
-	parts := ex.st.ScanPartitions(op.source.Pat, op.nparts)
-	if parts == nil {
-		return nil
-	}
-	outs := make([][][]dict.ID, len(parts))
-	counters := make([]execCounters, len(parts))
-	workers, err := ex.runMorsels(len(parts), func(i int) error {
-		wex := ex.workerExecutor()
-		chain := buildMorselChain(wex, op.stages, parts[i])
-		var rows [][]dict.ID
-		for {
-			batch, err := chain.next()
-			if err != nil {
-				return err
-			}
-			if batch == nil {
-				break
-			}
-			rows = append(rows, batch...)
-		}
-		outs[i] = rows
-		counters[i] = wex.counters()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	ex.mergeMorsels(counters, workers)
-	op.rows = mergeRowBuffers(outs)
-	return nil
 }

@@ -201,7 +201,7 @@ func TestHashJoinCancelsMidBuild(t *testing.T) {
 	l := bigRelation([]sparql.Var{"a", "b"}, 10*cancelCheckRows, 50)
 	r := bigRelation([]sparql.Var{"a", "c"}, 12*cancelCheckRows, 50)
 	ex := &executor{st: st, ctx: &countdownCtx{Context: context.Background(), after: 3}}
-	if _, err := ex.hashJoin(l, r, sharedCols(l, r)); !errors.Is(err, context.Canceled) {
+	if _, err := ex.hashJoin(l, r, sharedCols(l.vars, r.vars)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("hash join with cancelled ctx: err = %v, want Canceled", err)
 	}
 	// Sanity: a join of the same shape (but bounded fanout) completes under
@@ -223,7 +223,7 @@ func TestMergeJoinCancelsMidSort(t *testing.T) {
 	l := bigRelation([]sparql.Var{"a", "b"}, 6*cancelCheckRows, 1000)
 	r := bigRelation([]sparql.Var{"a", "c"}, 6*cancelCheckRows, 1000)
 	ex := &executor{st: st, ctx: &countdownCtx{Context: context.Background(), after: 3}}
-	if _, err := ex.mergeJoin(l, r, sharedCols(l, r)); !errors.Is(err, context.Canceled) {
+	if _, err := ex.mergeJoin(l, r, sharedCols(l.vars, r.vars)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("merge join with cancelled ctx: err = %v, want Canceled", err)
 	}
 }
@@ -261,12 +261,12 @@ func TestParallelHashProbeMatchesSerial(t *testing.T) {
 	l := bigRelation([]sparql.Var{"a", "b"}, 2000, 100)
 	r := bigRelation([]sparql.Var{"a", "c"}, 30000, 100)
 	serialEx := &executor{st: st}
-	want, err := serialEx.hashJoin(l, r, sharedCols(l, r))
+	want, err := serialEx.hashJoin(l, r, sharedCols(l.vars, r.vars))
 	if err != nil {
 		t.Fatal(err)
 	}
 	parEx := &executor{st: st, opts: Options{Parallelism: 8, MorselSize: 512}}
-	got, err := parEx.hashJoin(l, r, sharedCols(l, r))
+	got, err := parEx.hashJoin(l, r, sharedCols(l.vars, r.vars))
 	if err != nil {
 		t.Fatal(err)
 	}

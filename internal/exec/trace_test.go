@@ -11,7 +11,7 @@ import (
 )
 
 // Zero-overhead guarantee for the disabled path: with Options.Trace nil
-// the engines must build the exact pre-trace operator tree (no wrapper
+// the columnar engine must build the exact pre-trace operator tree (no wrapper
 // operators anywhere) and a run must not allocate one byte more than a
 // run that never heard of tracing.
 
@@ -42,7 +42,7 @@ func assertNoTraceWrappers(t *testing.T, root interface{}) {
 			}
 		case reflect.Struct:
 			switch v.Type().Name() {
-			case "tracedOp", "tracedColOp":
+			case "tracedColOp":
 				t.Fatalf("untraced build produced a %s wrapper", v.Type().Name())
 			}
 			for i := 0; i < v.NumField(); i++ {
@@ -63,8 +63,8 @@ func assertNoTraceWrappers(t *testing.T, root interface{}) {
 
 // TestTraceDisabledBuildsNoWrappers proves the structural half of the
 // zero-overhead claim: nil collector means the serial and parallel
-// operator trees of both engines contain no traced wrapper at any depth,
-// while a non-nil collector roots the tree in one.
+// columnar operator trees contain no traced wrapper at any depth, while a
+// non-nil collector roots the tree in one.
 func TestTraceDisabledBuildsNoWrappers(t *testing.T) {
 	st := buildSocialStore(t)
 	q := sparql.MustParse(traceTestQuery)
@@ -83,33 +83,21 @@ func TestTraceDisabledBuildsNoWrappers(t *testing.T) {
 			t.Fatal(err)
 		}
 		ex := &executor{st: st, ctx: context.Background(), opts: opts}
-		root, err := ex.build(phys.Root)
+		root, err := ex.colBuild(phys.Root)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertNoTraceWrappers(t, root)
 
-		copts := Options{Mode: Columnar, Parallelism: par, MorselSize: 2}
-		cphys, err := plan.Lower(c, p, PhysOptions(copts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cex := &executor{st: st, ctx: context.Background(), opts: copts}
-		croot, err := cex.colBuild(cphys.Root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertNoTraceWrappers(t, croot)
-
 		// Sanity: the same build with a collector roots in a wrapper, so
 		// the walker genuinely detects them.
 		tex := &executor{st: st, ctx: context.Background(), opts: opts, trace: &traceState{}}
-		troot, err := tex.build(phys.Root)
+		troot, err := tex.colBuild(phys.Root)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := troot.(*tracedOp); !ok {
-			t.Fatalf("traced build returned %T, want *tracedOp", troot)
+		if _, ok := troot.(*tracedColOp); !ok {
+			t.Fatalf("traced build returned %T, want *tracedColOp", troot)
 		}
 	}
 }
@@ -138,7 +126,7 @@ func TestTraceDisabledZeroExtraAllocs(t *testing.T) {
 			}
 		})
 	}
-	for _, mode := range []ExecMode{Streaming, Columnar} {
+	for _, mode := range []ExecMode{Columnar, Materializing} {
 		for _, par := range []int{1, 4} {
 			baseline := measure(Options{Mode: mode, Parallelism: par, MorselSize: 2})
 			off := measure(Options{Mode: mode, Parallelism: par, MorselSize: 2, Trace: nil})

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/bsbm"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/service"
 	"repro/internal/snb"
 	"repro/internal/sparql"
 	"repro/internal/store"
@@ -16,10 +16,10 @@ import (
 
 // The golden-equality suite: over every BSBM and SNB query template, with
 // curated parameter bindings drawn from the paper's own pipeline (domain
-// extraction → per-binding analysis → clustering), the streaming engine
+// extraction → per-binding analysis → clustering), the columnar engine
 // must agree with the materializing engine bit-for-bit — same Vars, same
 // Rows in the same order, same measured Cout, Work and Scanned — for both
-// interior-join algorithms.
+// interior-join algorithms and at every parallelism.
 
 type goldenTemplate struct {
 	name string
@@ -93,6 +93,10 @@ func equalResults(a, b *exec.Result) error {
 	return nil
 }
 
+// TestGoldenStreamingEqualsMaterializing: the pipelined columnar engine
+// is bit-identical to the materializing reference — same plan, Vars, Rows,
+// row order, Cout, Work and Scanned — for both join algorithms, serially
+// and at Parallelism 2 and 8, over every template and curated binding.
 func TestGoldenStreamingEqualsMaterializing(t *testing.T) {
 	env := sharedEnv(t)
 	for _, g := range goldenTemplates() {
@@ -110,64 +114,63 @@ func TestGoldenStreamingEqualsMaterializing(t *testing.T) {
 				t.Fatalf("%s binding %d: %v", g.name, bi, err)
 			}
 			for _, alg := range []exec.JoinAlgorithm{exec.HashJoin, exec.SortMergeJoin} {
-				sres, splan, err := exec.Query(bound, st, exec.Options{Join: alg, Mode: exec.Streaming})
-				if err != nil {
-					t.Fatalf("%s binding %d streaming: %v", g.name, bi, err)
-				}
 				mres, mplan, err := exec.Query(bound, st, exec.Options{Join: alg, Mode: exec.Materializing})
 				if err != nil {
 					t.Fatalf("%s binding %d materializing: %v", g.name, bi, err)
 				}
-				if splan.Signature != mplan.Signature {
-					t.Fatalf("%s binding %d: plans diverge: %s vs %s", g.name, bi, splan.Signature, mplan.Signature)
-				}
-				if err := equalResults(sres, mres); err != nil {
-					t.Errorf("%s binding %d (alg %d): %v", g.name, bi, alg, err)
+				for _, par := range []int{1, 2, 8} {
+					cres, cplan, err := exec.Query(bound, st, exec.Options{Join: alg, Parallelism: par, MorselSize: 128})
+					if err != nil {
+						t.Fatalf("%s binding %d columnar parallelism %d: %v", g.name, bi, par, err)
+					}
+					if cplan.Signature != mplan.Signature {
+						t.Fatalf("%s binding %d: plans diverge: %s vs %s", g.name, bi, cplan.Signature, mplan.Signature)
+					}
+					if err := equalResults(cres, mres); err != nil {
+						t.Errorf("%s binding %d (alg %d) columnar parallelism %d: %v", g.name, bi, alg, par, err)
+					}
+					if cres.Scanned > 0 && cres.Kernels.Batches == 0 {
+						t.Errorf("%s binding %d: columnar run produced no batches", g.name, bi)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestGoldenColumnarMatchesStreaming: the columnar engine must be
-// bit-identical to the serial streaming engine — same Vars, Rows, row
-// order, Cout, Work and Scanned — for both join algorithms, serially and
-// at Parallelism 2 and 8, over every template and curated binding.
+// TestGoldenColumnarMatchesStreaming: requests that still name the
+// "streaming" engine get the serial columnar engine's answers bit-for-bit
+// — same Vars, Rows, row order, Cout, Work and Scanned — for both join
+// algorithms, serially and at Parallelism 2 and 8, over every template and
+// curated binding.
 func TestGoldenColumnarMatchesStreaming(t *testing.T) {
+	mode, err := service.ParseEngineMode("streaming")
+	if err != nil {
+		t.Fatalf("streaming engine name rejected: %v", err)
+	}
 	env := sharedEnv(t)
 	for _, g := range goldenTemplates() {
 		st := env.BSBM
 		if g.snb {
 			st = env.SNB
 		}
-		bindings := curatedBindings(t, g.tmpl, st, 3)
-		for bi, b := range bindings {
+		for bi, b := range curatedBindings(t, g.tmpl, st, 3) {
 			bound, err := g.tmpl.Bind(b)
 			if err != nil {
 				t.Fatalf("%s binding %d: %v", g.name, bi, err)
 			}
 			for _, alg := range []exec.JoinAlgorithm{exec.HashJoin, exec.SortMergeJoin} {
-				sres, _, err := exec.Query(bound, st, exec.Options{Join: alg, Mode: exec.Streaming})
-				if err != nil {
-					t.Fatalf("%s binding %d streaming: %v", g.name, bi, err)
-				}
 				cres, _, err := exec.Query(bound, st, exec.Options{Join: alg, Mode: exec.Columnar})
 				if err != nil {
 					t.Fatalf("%s binding %d columnar: %v", g.name, bi, err)
 				}
-				if err := equalResults(cres, sres); err != nil {
-					t.Errorf("%s binding %d (alg %d) columnar: %v", g.name, bi, alg, err)
-				}
-				if cres.Scanned > 0 && cres.Kernels.Batches == 0 {
-					t.Errorf("%s binding %d: columnar run produced no batches", g.name, bi)
-				}
-				for _, par := range []int{2, 8} {
-					pres, _, err := exec.Query(bound, st, exec.Options{Join: alg, Mode: exec.Columnar, Parallelism: par, MorselSize: 128})
+				for _, par := range []int{1, 2, 8} {
+					sres, _, err := exec.Query(bound, st, exec.Options{Join: alg, Mode: mode, Parallelism: par, MorselSize: 128})
 					if err != nil {
-						t.Fatalf("%s binding %d columnar parallelism %d: %v", g.name, bi, par, err)
+						t.Fatalf("%s binding %d streaming parallelism %d: %v", g.name, bi, par, err)
 					}
-					if err := equalResults(pres, sres); err != nil {
-						t.Errorf("%s binding %d (alg %d) columnar parallelism %d: %v", g.name, bi, alg, par, err)
+					if err := equalResults(sres, cres); err != nil {
+						t.Errorf("%s binding %d (alg %d) streaming parallelism %d: %v", g.name, bi, alg, par, err)
 					}
 				}
 			}
@@ -190,11 +193,11 @@ func TestGoldenPushdownPreservesResults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s binding %d: %v", g.name, bi, err)
 			}
-			plain, _, err := exec.Query(bound, st, exec.Options{Mode: exec.Streaming})
+			plain, _, err := exec.Query(bound, st, exec.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			pushed, _, err := exec.Query(bound, st, exec.Options{Mode: exec.Streaming, PushFilters: true})
+			pushed, _, err := exec.Query(bound, st, exec.Options{PushFilters: true})
 			if err != nil {
 				t.Fatalf("%s binding %d pushed: %v", g.name, bi, err)
 			}
@@ -264,7 +267,7 @@ func TestGoldenParallelCuration(t *testing.T) {
 
 // TestGoldenParallelMatchesSerial: over every BSBM/SNB template with
 // curated bindings, morsel-driven execution at Parallelism 2 and 8 must be
-// bit-identical to the serial streaming run — same Vars, same Rows in the
+// bit-identical to the serial columnar run — same Vars, same Rows in the
 // same order, same measured Cout, Work and Scanned. A small MorselSize
 // forces genuine multi-morsel parallelism at test scale; the morsel size
 // never affects results, only the schedule.
@@ -299,10 +302,7 @@ func TestGoldenParallelMatchesSerial(t *testing.T) {
 }
 
 // algebraTemplates are the compositional-algebra workload templates
-// (OPTIONAL/UNION/aggregates). They are kept out of goldenTemplates
-// deliberately: the materializing engine is the frozen paper baseline and
-// rejects these constructs, so the golden property here is streaming ==
-// columnar (serial and parallel) plus the typed rejection.
+// (OPTIONAL/UNION/aggregates).
 func algebraTemplates() []goldenTemplate {
 	return []goldenTemplate{
 		{"bsbm-q5-optional", bsbm.Q5(), false},
@@ -312,16 +312,30 @@ func algebraTemplates() []goldenTemplate {
 }
 
 // TestGoldenAlgebraEngines: over every algebra template and curated
-// binding, the streaming and columnar engines agree bit-for-bit — Vars,
-// Rows, row order, Cout, Work, Scanned — serially and at Parallelism 2
-// and 8, and the materializing engine rejects the query with
-// exec.ErrUnsupportedConstruct.
+// binding, both engines — materializing, and columnar serially and at
+// Parallelism 2 and 8 — agree bit-for-bit (Vars, Rows, row order, Cout,
+// Work, Scanned) with the materializing run over the heap store, over the
+// heap store itself, subject-hash sharded federations at 1 and 4 shards,
+// and the mmap-backed copy.
 func TestGoldenAlgebraEngines(t *testing.T) {
 	env := sharedEnv(t)
+	runs := []exec.Options{{Mode: exec.Materializing}}
+	for _, par := range []int{1, 2, 8} {
+		runs = append(runs, exec.Options{Parallelism: par, MorselSize: 128})
+	}
+	bases := func(st *store.Store) map[string]store.Source {
+		return map[string]store.Source{
+			"heap":     st,
+			"shards=1": store.NewSharded(st, 1),
+			"shards=4": store.NewSharded(st, 4),
+			"mapped":   mappedCopy(t, st),
+		}
+	}
+	bsbmBases, snbBases := bases(env.BSBM), bases(env.SNB)
 	for _, g := range algebraTemplates() {
-		st := env.BSBM
+		st, srcs := env.BSBM, bsbmBases
 		if g.snb {
-			st = env.SNB
+			st, srcs = env.SNB, snbBases
 		}
 		bindings := curatedBindings(t, g.tmpl, st, 3)
 		if len(bindings) < 3 {
@@ -332,21 +346,18 @@ func TestGoldenAlgebraEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s binding %d: %v", g.name, bi, err)
 			}
-			if _, _, err := exec.Query(bound, st, exec.Options{Mode: exec.Materializing}); !errors.Is(err, exec.ErrUnsupportedConstruct) {
-				t.Fatalf("%s binding %d materializing: error = %v, want ErrUnsupportedConstruct", g.name, bi, err)
-			}
-			sres, _, err := exec.Query(bound, st, exec.Options{Mode: exec.Streaming})
+			ref, _, err := exec.Query(bound, st, exec.Options{Mode: exec.Materializing})
 			if err != nil {
-				t.Fatalf("%s binding %d streaming: %v", g.name, bi, err)
+				t.Fatalf("%s binding %d materializing: %v", g.name, bi, err)
 			}
-			for _, par := range []int{1, 2, 8} {
-				for _, mode := range []exec.ExecMode{exec.Streaming, exec.Columnar} {
-					res, _, err := exec.Query(bound, st, exec.Options{Mode: mode, Parallelism: par, MorselSize: 128})
+			for name, src := range srcs {
+				for _, opts := range runs {
+					res, _, err := exec.Query(bound, src, opts)
 					if err != nil {
-						t.Fatalf("%s binding %d mode %d parallelism %d: %v", g.name, bi, mode, par, err)
+						t.Fatalf("%s binding %d %s mode %d parallelism %d: %v", g.name, bi, name, opts.Mode, opts.Parallelism, err)
 					}
-					if err := equalResults(res, sres); err != nil {
-						t.Errorf("%s binding %d mode %d parallelism %d: %v", g.name, bi, mode, par, err)
+					if err := equalResults(res, ref); err != nil {
+						t.Errorf("%s binding %d %s mode %d parallelism %d: %v", g.name, bi, name, opts.Mode, opts.Parallelism, err)
 					}
 				}
 			}
@@ -355,8 +366,8 @@ func TestGoldenAlgebraEngines(t *testing.T) {
 }
 
 // TestGoldenShardInvariance: the headline sharding invariant. Every
-// engine — materializing, streaming, columnar and columnar+leapfrog, the
-// latter three at Parallelism 1, 2 and 8 — must produce bit-identical
+// engine — materializing, columnar and columnar+leapfrog, the latter two
+// at Parallelism 1, 2 and 8 — must produce bit-identical
 // results (Vars, Rows, row order, Cout, Work, Scanned) over subject-hash
 // sharded federations at 1 and 4 shards as over the plain store, for
 // every golden template and curated binding. Per-shard sorted runs over
@@ -377,7 +388,6 @@ func TestGoldenShardInvariance(t *testing.T) {
 			ms = 128
 		}
 		runs = append(runs,
-			engineRun{fmt.Sprintf("streaming-p%d", par), exec.Options{Mode: exec.Streaming, Parallelism: par, MorselSize: ms}},
 			engineRun{fmt.Sprintf("columnar-p%d", par), exec.Options{Mode: exec.Columnar, Parallelism: par, MorselSize: ms}},
 			engineRun{fmt.Sprintf("leapfrog-p%d", par), exec.Options{Mode: exec.Columnar, Leapfrog: true, Parallelism: par, MorselSize: ms}},
 		)
@@ -440,8 +450,8 @@ func mappedCopy(t *testing.T, st *store.Store) *store.Store {
 	return m
 }
 
-// TestGoldenMappedBase: every engine — materializing, streaming, columnar
-// and columnar+leapfrog, the latter three at Parallelism 1, 2 and 8 — must
+// TestGoldenMappedBase: every engine — materializing, columnar and
+// columnar+leapfrog, the latter two at Parallelism 1, 2 and 8 — must
 // produce bit-identical results (Vars, Rows, row order, Cout, Work,
 // Scanned) over the mmap-backed store and the heap store, for every golden
 // template and curated binding.
@@ -460,7 +470,6 @@ func TestGoldenMappedBase(t *testing.T) {
 			ms = 128
 		}
 		runs = append(runs,
-			engineRun{fmt.Sprintf("streaming-p%d", par), exec.Options{Mode: exec.Streaming, Parallelism: par, MorselSize: ms}},
 			engineRun{fmt.Sprintf("columnar-p%d", par), exec.Options{Mode: exec.Columnar, Parallelism: par, MorselSize: ms}},
 			engineRun{fmt.Sprintf("leapfrog-p%d", par), exec.Options{Mode: exec.Columnar, Leapfrog: true, Parallelism: par, MorselSize: ms}},
 		)

@@ -13,9 +13,10 @@ import (
 // that the materializing executor used to make on the fly — operator
 // selection (index scan, index-nested-loop probe, hash/sort-merge/cross
 // join), output schemas, build-side choices for leaf-leaf joins, and the
-// placement of FILTER, ORDER BY, projection, DISTINCT and LIMIT — so that
-// the streaming and materializing engines execute the *same* physical plan
-// and produce bit-identical results and accounting.
+// placement of FILTER, ORDER BY, projection, DISTINCT and LIMIT — by the
+// materializing executor's own rules, so that the columnar engine running
+// the physical plan and the materializing engine evaluating the logical
+// tree produce bit-identical results and accounting.
 
 // PhysOp identifies a physical operator kind.
 type PhysOp uint8

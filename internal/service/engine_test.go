@@ -40,11 +40,12 @@ const starServiceQuery = `SELECT * WHERE {
 }`
 
 // TestColumnarService: a service configured with the columnar engine (and
-// leapfrog) answers identically to the streaming default and reports its
-// kernel counters through Stats.
+// leapfrog) answers identically to the materializing reference and reports
+// its kernel counters through Stats, while the materializing service
+// reports none.
 func TestColumnarService(t *testing.T) {
 	st := buildStarServiceStore(t)
-	ref := New(st, "", Options{Exec: exec.Options{}})
+	ref := New(st, "", Options{Exec: exec.Options{Mode: exec.Materializing}})
 	col := New(st, "", Options{Exec: exec.Options{Mode: exec.Columnar}})
 	lf := New(st, "", Options{Exec: exec.Options{Mode: exec.Columnar, Leapfrog: true}})
 
@@ -72,8 +73,8 @@ func TestColumnarService(t *testing.T) {
 	}
 
 	refStats, colStats, lfStats := ref.Stats(), col.Stats(), lf.Stats()
-	if refStats.Engine.Mode != "streaming" || refStats.Engine.Kernels != (KernelStats{}) {
-		t.Fatalf("streaming service engine stats: %+v", refStats.Engine)
+	if refStats.Engine.Mode != "materializing" || refStats.Engine.Kernels != (KernelStats{}) {
+		t.Fatalf("materializing service engine stats: %+v", refStats.Engine)
 	}
 	if colStats.Engine.Mode != "columnar" || colStats.Engine.Kernels.Batches == 0 {
 		t.Fatalf("columnar service engine stats: %+v", colStats.Engine)
@@ -85,7 +86,7 @@ func TestColumnarService(t *testing.T) {
 
 // TestEngineVariantCacheKeys: services with different engine configurations
 // derive distinct plan-cache keys from the same query text, and the
-// streaming default keeps the historical key format.
+// columnar default keeps the historical key format.
 func TestEngineVariantCacheKeys(t *testing.T) {
 	cases := []struct {
 		opts exec.Options
@@ -93,7 +94,6 @@ func TestEngineVariantCacheKeys(t *testing.T) {
 	}{
 		{exec.Options{}, ""},
 		{exec.Options{Mode: exec.Materializing}, "materializing"},
-		{exec.Options{Mode: exec.Columnar}, "columnar"},
 		{exec.Options{Mode: exec.Columnar, Leapfrog: true}, "columnar+leapfrog"},
 	}
 	seen := map[string]bool{}
@@ -122,5 +122,43 @@ func TestEngineVariantCacheKeys(t *testing.T) {
 	}
 	if svc.Stats().Engine.Kernels.LeapfrogRows == 0 {
 		t.Fatal("cached leapfrog plan did not execute the leapfrog operator")
+	}
+}
+
+// TestParseEngineMode: every accepted -engine name maps to its mode and
+// renders back through engineMode as /stats reports it; "streaming" and
+// the empty default select columnar, and an unknown name is an error.
+func TestParseEngineMode(t *testing.T) {
+	cases := []struct {
+		name     string
+		want     exec.ExecMode
+		rendered string
+		wantErr  bool
+	}{
+		{"", exec.Columnar, "columnar", false},
+		{"streaming", exec.Columnar, "columnar", false},
+		{"columnar", exec.Columnar, "columnar", false},
+		{"materializing", exec.Materializing, "materializing", false},
+		{"vectorized", exec.Columnar, "columnar", true},
+	}
+	for _, c := range cases {
+		got, err := ParseEngineMode(c.name)
+		if (err != nil) != c.wantErr {
+			t.Fatalf("ParseEngineMode(%q) error = %v, want error %v", c.name, err, c.wantErr)
+		}
+		if got != c.want {
+			t.Fatalf("ParseEngineMode(%q) = %v, want %v", c.name, got, c.want)
+		}
+		if r := engineMode(got); r != c.rendered {
+			t.Fatalf("engineMode(ParseEngineMode(%q)) = %q, want %q", c.name, r, c.rendered)
+		}
+	}
+	if _, err := ParseEngine("materializing", true); err == nil {
+		t.Fatal("ParseEngine accepted -leapfrog under the materializing engine")
+	}
+	for _, name := range []string{"", "streaming", "columnar"} {
+		if _, err := ParseEngine(name, true); err != nil {
+			t.Fatalf("ParseEngine(%q, leapfrog) = %v, want nil", name, err)
+		}
 	}
 }

@@ -9,7 +9,7 @@
 //     compilation and DPsub join ordering entirely, with hit/miss/eviction
 //     counters;
 //   - admission control: a bounded worker pool with a request-queue cap and
-//     fast ErrOverloaded (HTTP 429) rejection, keeping the streaming
+//     fast ErrOverloaded (HTTP 429) rejection, keeping the columnar
 //     engine's per-query allocations bounded under load;
 //   - hot snapshot swap: Reload/Swap atomically install a new store while
 //     in-flight queries finish against the old one (each request pins one
@@ -66,7 +66,7 @@ func IsInputError(err error) bool {
 
 // Options configures a Service. The zero value means: GOMAXPROCS workers, a
 // queue of 4x the workers, a 1024-entry plan cache, and the exec defaults
-// (streaming engine, exact paper accounting). Use DefaultOptions for the
+// (columnar engine, exact paper accounting). Use DefaultOptions for the
 // serving-mode defaults (EarlyStop on).
 type Options struct {
 	// Workers bounds concurrent query executions (default GOMAXPROCS).
@@ -144,7 +144,7 @@ type Options struct {
 	SlowLog io.Writer
 }
 
-// DefaultOptions returns the serving-mode defaults: streaming engine with
+// DefaultOptions returns the serving-mode defaults: columnar engine with
 // EarlyStop, so LIMIT terminates pipelines as soon as possible. Paper
 // experiments that need draining accounting pass exec.Options{} instead.
 func DefaultOptions() Options {
@@ -284,17 +284,14 @@ type Prepared struct {
 // engineVariant names the engine configuration for plan-cache keying:
 // cached entries from different engine modes never collide, so operators
 // can flip -engine between restarts (or run A/B services over one
-// snapshot) without cache cross-talk. The streaming default keeps the
-// empty variant, preserving existing cache keys.
+// snapshot) without cache cross-talk. The default columnar engine keeps
+// the empty variant, preserving existing cache keys.
 func engineVariant(o exec.Options) string {
-	switch o.Mode {
-	case exec.Materializing:
+	switch {
+	case o.Mode == exec.Materializing:
 		return "materializing"
-	case exec.Columnar:
-		if o.Leapfrog {
-			return "columnar+leapfrog"
-		}
-		return "columnar"
+	case o.Leapfrog:
+		return "columnar+leapfrog"
 	default:
 		return ""
 	}
@@ -1122,28 +1119,37 @@ func (s *Service) admit(ctx context.Context) (func(), error) {
 
 // engineMode renders an exec.ExecMode for /stats and CLI flags.
 func engineMode(m exec.ExecMode) string {
-	switch m {
-	case exec.Materializing:
+	if m == exec.Materializing {
 		return "materializing"
-	case exec.Columnar:
-		return "columnar"
+	}
+	return "columnar"
+}
+
+// ParseEngineMode maps the -engine flag value to an exec.ExecMode. The
+// empty name selects the columnar default; "streaming", the name of the
+// former row-at-a-time pipelined engine, is accepted as an alias of
+// columnar, whose rows and accounting are bit-identical to it.
+func ParseEngineMode(name string) (exec.ExecMode, error) {
+	switch name {
+	case "", "columnar", "streaming":
+		return exec.Columnar, nil
+	case "materializing":
+		return exec.Materializing, nil
 	default:
-		return "streaming"
+		return exec.Columnar, fmt.Errorf("unknown engine %q (want columnar or materializing)", name)
 	}
 }
 
-// ParseEngineMode maps the -engine flag value to an exec.ExecMode.
-func ParseEngineMode(name string) (exec.ExecMode, error) {
-	switch name {
-	case "", "streaming":
-		return exec.Streaming, nil
-	case "materializing":
-		return exec.Materializing, nil
-	case "columnar":
-		return exec.Columnar, nil
-	default:
-		return exec.Streaming, fmt.Errorf("unknown engine %q (want streaming, materializing or columnar)", name)
+// ParseEngine parses the -engine and -leapfrog flags the command-line
+// tools share: the engine name as ParseEngineMode does, rejecting
+// -leapfrog under the materializing engine, which keeps its binary join
+// trees.
+func ParseEngine(name string, leapfrog bool) (exec.ExecMode, error) {
+	mode, err := ParseEngineMode(name)
+	if err == nil && leapfrog && mode == exec.Materializing {
+		err = fmt.Errorf("-leapfrog requires the columnar engine")
 	}
+	return mode, err
 }
 
 // maxLatencyKeys caps the latency map's cardinality. Per-template keys
@@ -1223,9 +1229,9 @@ type ParallelStats struct {
 
 // KernelStats are the cumulative kernel counters aggregated from every
 // query since startup. Most are columnar-engine telemetry (all zero when
-// the service runs a row engine); LeftJoinRows, UnionRows and AggGroups
-// are logical algebra-operator counts maintained identically by the
-// streaming and columnar engines.
+// the service runs the materializing engine); LeftJoinRows, UnionRows and
+// AggGroups are logical algebra-operator counts maintained identically by
+// both engines.
 type KernelStats struct {
 	Batches       uint64 `json:"batches"`
 	FilterRows    uint64 `json:"filter_rows"`
@@ -1242,7 +1248,7 @@ type KernelStats struct {
 // EngineStats name the configured execution engine and its kernel
 // telemetry.
 type EngineStats struct {
-	// Mode is "streaming", "materializing" or "columnar".
+	// Mode is "columnar" or "materializing".
 	Mode string `json:"mode"`
 	// Leapfrog reports whether eligible star BGPs lower to the multiway
 	// leapfrog triejoin (columnar mode only).
@@ -1404,7 +1410,7 @@ func (s *Service) Stats() Stats {
 		},
 		Engine: EngineStats{
 			Mode:     engineMode(s.opts.Exec.Mode),
-			Leapfrog: s.opts.Exec.Leapfrog && s.opts.Exec.Mode == exec.Columnar,
+			Leapfrog: exec.PhysOptions(s.opts.Exec).Leapfrog,
 			Kernels: KernelStats{
 				Batches:       s.kern.batches.Load(),
 				FilterRows:    s.kern.filterRows.Load(),
